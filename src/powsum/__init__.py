@@ -7,7 +7,7 @@ multiplication inside the streaming loop, and exact integer arithmetic
 end to end.
 """
 
-from .cascade import Cascade, FloatCascade, MomentRequest
+from .cascade import Cascade
 from .coeffs import (
     CoefficientSet,
     IntPolynomial,
@@ -46,9 +46,7 @@ __all__ = [
     "CoefficientSet",
     "ComplexityReport",
     "ExactInt",
-    "FloatCascade",
     "IntPolynomial",
-    "MomentRequest",
     "OpCount",
     "alternating_power_sum",
     "baseline_sum",

@@ -14,55 +14,26 @@ with a push. Distinct cascades are fully independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from .coeffs import CoefficientSet, coefficients_closed
-from .costmodel import OpCount
+from .coeffs import CoefficientSet, _check_domain, coefficients_closed
 from .exactmath import ExactInt
+from .ops import OpCount
 
 
-@dataclass(frozen=True)
-class MomentRequest:
-    """A (power, declared length) pair, for precomputing coefficients when
-    the stream length is known up front."""
-
-    K: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ValueError("power K must be non-negative")
-        if self.N < 1:
-            raise ValueError("declared length N must be positive")
-
-    def coefficients(self) -> CoefficientSet:
-        return coefficients_closed(self.K, self.N)
-
-
-def _weighted_combine(
-    registers: Sequence[ExactInt],
-    weights: Sequence[ExactInt],
-    ops: OpCount | None = None,
-) -> ExactInt:
-    """sum(w * r) over register/weight pairs; len(weights) constant
-    multiplications and len(weights) - 1 additions when counted."""
-    total = weights[0] * registers[0]
-    for w, r in zip(weights[1:], registers[1:]):
-        total += w * r
-    if ops is not None:
-        ops.constant_mults += len(weights)
-        ops.additions += len(weights) - 1
-    return total
+def predict_cascade(K: int, N: int) -> OpCount:
+    """Cost of the streaming cascade: K+1 constant multiplications (one per
+    register, independent of N) and (K+1)N - 1 additions."""
+    _check_domain(K, N)
+    return OpCount(general_mults=0, constant_mults=K + 1, additions=(K + 1) * N - 1)
 
 
 class Cascade:
     """K+1 accumulator registers plus a sample count.
 
     ``registers[k-1]`` is the k-th accumulator output for the samples
-    pushed so far; ``registers[0]`` is the plain running sum. ``ops``
-    tallies the streaming additions: each push costs K+1 additions except
-    the first, which lands in zeroed registers and is counted as free.
+    pushed so far; ``registers[0]`` is the plain running sum. Samples are
+    normally ints, which keeps every result exact. Floats may be pushed
+    too, with approximate results, and :class:`~powsum.ops.Counted`
+    samples count the operations the cascade performs on them.
     """
 
     def __init__(self, K: int) -> None:
@@ -71,7 +42,6 @@ class Cascade:
         self.K = K
         self.registers: list[ExactInt] = [0] * (K + 1)
         self.samples_seen = 0
-        self.ops = OpCount()
 
     def push(self, sample: ExactInt) -> None:
         """Feed one sample through the cascade.
@@ -84,44 +54,46 @@ class Cascade:
         carry = sample
         for k in range(len(registers)):
             carry = registers[k] = registers[k] + carry
-        if self.samples_seen:
-            self.ops.additions += len(registers)
         self.samples_seen += 1
 
     def snapshot(self) -> list[ExactInt]:
         """Current register values A_1..A_{K+1}, without mutating state."""
         return list(self.registers)
 
-    def finalize(self, coeffs: CoefficientSet, ops: OpCount | None = None) -> ExactInt:
-        """Combine the registers into sum(n**K * v[n]) over the samples
-        pushed so far.
+    def _combine(self, coeffs: CoefficientSet) -> ExactInt:
+        # The combination for power P reads only registers 1..P+1, so one
+        # cascade serves every power up to its own.
+        if coeffs.K > self.K:
+            raise ValueError(f"coefficients are for power {coeffs.K}, cascade has power {self.K}")
+        if coeffs.N != self.samples_seen:
+            raise ValueError(
+                f"coefficients are for N={coeffs.N}, cascade has seen {self.samples_seen} samples"
+            )
+        weights, registers = coeffs.coeffs, self.registers
+        total = weights[0] * registers[0]
+        for w, r in zip(weights[1:], registers[1:]):
+            total += w * r
+        return total
+
+    def finalize(self, coeffs: CoefficientSet) -> ExactInt:
+        """Combine the registers into sum(n**P * v[n]) over the samples
+        pushed so far, for the power P = coeffs.K <= K.
 
         Non-destructive: the cascade can keep streaming afterwards and be
         finalized again, so running per-sample outputs are possible even
         though the usual pattern is a single combination after the last
-        sample. ``coeffs`` must match this cascade's power and the current
-        sample count. ``ops``, when given, absorbs the K+1 constant
-        multiplications and K additions the combination performs.
+        sample. ``coeffs`` must be for the current sample count.
         """
-        if self.samples_seen < 1:
-            raise ValueError("cannot finalize before any sample was pushed")
-        if coeffs.K != self.K:
-            raise ValueError(f"coefficients are for power {coeffs.K}, cascade has power {self.K}")
-        if coeffs.N != self.samples_seen:
-            raise ValueError(
-                f"coefficients are for N={coeffs.N}, cascade has seen {self.samples_seen} samples"
-            )
-        return _weighted_combine(self.registers, coeffs.coeffs, ops)
+        return self._combine(coeffs)
 
     def moment_with_ops(
         self, power: int, coeffs: CoefficientSet | None = None
     ) -> tuple[ExactInt, OpCount]:
-        """Powered sum for one power <= K, plus the operations attributable
-        to it on this cascade's stream.
+        """Powered sum for one power <= K, plus the cost model's operation
+        count for that power over the samples pushed so far.
 
-        Additions are attributed row-wise: the combination for ``power``
-        reads registers 1..power+1 and each of those rows absorbed
-        samples_seen - 1 counted additions while streaming.
+        ``coeffs`` may carry coefficients precomputed for ``power`` and the
+        current sample count; otherwise they are computed here.
         """
         if not 0 <= power <= self.K:
             raise ValueError(f"power {power} not servable by a cascade of power {self.K}")
@@ -129,67 +101,6 @@ class Cascade:
             raise ValueError("cannot finalize before any sample was pushed")
         if coeffs is None:
             coeffs = coefficients_closed(power, self.samples_seen)
-        elif coeffs.K != power or coeffs.N != self.samples_seen:
-            raise ValueError("precomputed coefficients do not match power or sample count")
-        ops = OpCount(additions=(power + 1) * (self.samples_seen - 1))
-        value = _weighted_combine(self.registers[: power + 1], coeffs.coeffs, ops)
-        return value, ops
-
-    def finalize_many(self, powers: Iterable[int]) -> list[ExactInt]:
-        """One powered sum per requested power; every power must be <= K.
-
-        A single cascade serves all lower powers because the combination
-        for power P only reads registers 1..P+1.
-        """
-        return [self.moment_with_ops(power)[0] for power in powers]
-
-
-class FloatCascade:
-    """Double-precision sibling of :class:`Cascade` for non-integer streams.
-
-    Same recurrence over float registers, so results carry ordinary
-    floating-point rounding error; none of the exactness guarantees of
-    the integer path apply here.
-    """
-
-    def __init__(self, K: int) -> None:
-        if K < 0:
-            raise ValueError("power K must be non-negative")
-        self.K = K
-        self.registers: list[float] = [0.0] * (K + 1)
-        self.samples_seen = 0
-
-    def push(self, sample: float) -> None:
-        registers = self.registers
-        carry = float(sample)
-        for k in range(len(registers)):
-            carry = registers[k] = registers[k] + carry
-        self.samples_seen += 1
-
-    def snapshot(self) -> list[float]:
-        return list(self.registers)
-
-    def moment_with_ops(self, power: int, coeffs: CoefficientSet | None = None) -> tuple[float, OpCount]:
-        """Approximate powered sum plus the same operation attribution the
-        exact cascade would report (counts do not depend on value type)."""
-        if not 0 <= power <= self.K:
-            raise ValueError(f"power {power} not servable by a cascade of power {self.K}")
-        if self.samples_seen < 1:
-            raise ValueError("cannot finalize before any sample was pushed")
-        if coeffs is None:
-            coeffs = coefficients_closed(power, self.samples_seen)
-        elif coeffs.K != power or coeffs.N != self.samples_seen:
-            raise ValueError("precomputed coefficients do not match power or sample count")
-        ops = OpCount(additions=(power + 1) * (self.samples_seen - 1))
-        weights = [float(c) for c in coeffs.coeffs]
-        value = _weighted_combine(self.registers[: power + 1], weights, ops)
-        return value, ops
-
-    def finalize(self, coeffs: CoefficientSet) -> float:
-        if coeffs.K != self.K:
-            raise ValueError(f"coefficients are for power {coeffs.K}, cascade has power {self.K}")
-        if coeffs.N != self.samples_seen:
-            raise ValueError(
-                f"coefficients are for N={coeffs.N}, cascade has seen {self.samples_seen} samples"
-            )
-        return self.moment_with_ops(self.K, coeffs)[0]
+        elif coeffs.K != power:
+            raise ValueError(f"precomputed coefficients are for power {coeffs.K}, not {power}")
+        return self._combine(coeffs), predict_cascade(power, self.samples_seen)

@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required.
 
-Sample input is line-delimited decimal integers; blank lines and lines
-starting with ``#`` are ignored. All output is deterministic for
+Sample input is line-delimited decimal integers (finite decimal floats
+with ``--float``); blank lines and lines starting with ``#`` are ignored. All output is deterministic for
 identical inputs and flags (randomized checks take an explicit seed).
 """
 
@@ -20,30 +20,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Callable, Iterable
 
-from .cascade import Cascade, FloatCascade, MomentRequest
-from .coeffs import CoefficientSet, coefficient_polynomials, coefficients_closed
+from .cascade import Cascade
+from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import complexity_table, write_csv
+from .oracle import MAX_CHAIN_TARGET
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EMPTY_INPUT = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: what to run, where samples come from, how to print."""
-
-    subcommand: str
-    input_path: str | None = None
-    powers: list[int] = field(default_factory=list)
-    N_override: int | None = None
-    output_format: str = "json"
 
 
 class SampleParseError(Exception):
@@ -53,9 +44,7 @@ class SampleParseError(Exception):
         self.text = text
 
 
-def push_stream(
-    cascade: Cascade | FloatCascade, lines: Iterable[str], parse: Callable[[str], object]
-) -> None:
+def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], object]) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
     One sample is in flight at a time; nothing is buffered beyond the
@@ -70,6 +59,14 @@ def push_stream(
         except ValueError:
             raise SampleParseError(lineno, text) from None
         cascade.push(value)  # type: ignore[arg-type]
+
+
+def _finite_float(text: str) -> float:
+    """float(text), rejecting nan, inf and literals that overflow to inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite sample {text!r}")
+    return value
 
 
 def _comma_separated_ints(text: str) -> list[int]:
@@ -124,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--float",
         dest="float_mode",
         action="store_true",
-        help="use the double-precision cascade; results are approximate and the "
+        help="parse samples as finite doubles; results are approximate and the "
         "exact-arithmetic guarantees do not apply",
     )
     moment.add_argument("--format", choices=("json", "plain"), default="json")
@@ -166,28 +163,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_moment(config: RunConfig, float_mode: bool) -> int:
-    if float_mode:
+def _run_moment(args: argparse.Namespace) -> int:
+    parse: Callable[[str], object] = int
+    if args.float_mode:
         print(
             "warning: --float uses double precision; results are approximate",
             file=sys.stderr,
         )
-        cascade: Cascade | FloatCascade = FloatCascade(max(config.powers))
-        parse: Callable[[str], object] = float
-    else:
-        cascade = Cascade(max(config.powers))
-        parse = int
+        parse = _finite_float
+    cascade = Cascade(max(args.powers))
 
-    precomputed: dict[int, CoefficientSet] | None = None
-    if config.N_override is not None:
+    precomputed = {}
+    if args.expect_n is not None:
         precomputed = {
-            power: MomentRequest(power, config.N_override).coefficients()
-            for power in dict.fromkeys(config.powers)
+            power: coefficients_closed(power, args.expect_n) for power in dict.fromkeys(args.powers)
         }
 
     try:
-        if config.input_path is not None:
-            with open(config.input_path, encoding="utf-8") as stream:
+        if args.input is not None:
+            with open(args.input, encoding="utf-8") as stream:
                 push_stream(cascade, stream, parse)
         else:
             push_stream(cascade, sys.stdin, parse)
@@ -205,20 +199,19 @@ def _run_moment(config: RunConfig, float_mode: bool) -> int:
             file=sys.stderr,
         )
         return EXIT_EMPTY_INPUT
-    if config.N_override is not None and n_samples != config.N_override:
+    if args.expect_n is not None and n_samples != args.expect_n:
         print(
-            f"error: expected {config.N_override} samples but the stream held {n_samples}",
+            f"error: expected {args.expect_n} samples but the stream held {n_samples}",
             file=sys.stderr,
         )
         return EXIT_USAGE
 
     results = []
-    for power in config.powers:
-        coeffs = precomputed[power] if precomputed is not None else None
-        value, ops = cascade.moment_with_ops(power, coeffs)
+    for power in args.powers:
+        value, ops = cascade.moment_with_ops(power, precomputed.get(power))
         results.append({"K": power, "S": str(value), "ops": asdict(ops)})
 
-    if config.output_format == "plain":
+    if args.format == "plain":
         for row in results:
             print(f"{row['K']} {row['S']}")
     else:
@@ -226,10 +219,11 @@ def _run_moment(config: RunConfig, float_mode: bool) -> int:
     return EXIT_OK
 
 
-def _run_coeffs(config: RunConfig, K: int, N: int) -> int:
+def _run_coeffs(args: argparse.Namespace) -> int:
+    K, N = args.power, args.length
     coeffs = coefficients_closed(K, N)
     unique = N >= K + 1
-    if config.output_format == "plain":
+    if args.format == "plain":
         print(" ".join(str(c) for c in coeffs.coeffs))
         if not unique:
             print(
@@ -270,12 +264,13 @@ def render_table(kmax: int) -> str:
     return "\n".join(lines)
 
 
-def _run_complexity(config: RunConfig, Ks: list[int], Ns: list[int]) -> int:
-    if any(K < 0 for K in Ks) or any(N < 1 for N in Ns):
-        print("error: --Ks must be non-negative and --Ns positive", file=sys.stderr)
+def _run_complexity(args: argparse.Namespace) -> int:
+    # the baseline's exhaustive addition-chain search stops at MAX_CHAIN_TARGET
+    if not all(0 <= K <= MAX_CHAIN_TARGET for K in args.Ks) or any(N < 1 for N in args.Ns):
+        print(f"error: --Ks must be in [0, {MAX_CHAIN_TARGET}] and --Ns positive", file=sys.stderr)
         return EXIT_USAGE
-    reports = complexity_table(Ks, Ns)
-    if config.output_format == "json":
+    reports = complexity_table(args.Ks, args.Ns)
+    if args.format == "json":
         print(json.dumps([asdict(report) for report in reports], indent=2))
     else:
         write_csv(reports, sys.stdout)
@@ -296,26 +291,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    config = RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        powers=list(getattr(args, "powers", []) or []),
-        N_override=getattr(args, "expect_n", None),
-        output_format=getattr(args, "format", "json"),
-    )
-
-    if config.subcommand == "moment":
-        return _run_moment(config, args.float_mode)
-    if config.subcommand == "coeffs":
-        return _run_coeffs(config, args.power, args.length)
-    if config.subcommand == "table":
+    if args.subcommand == "moment":
+        return _run_moment(args)
+    if args.subcommand == "coeffs":
+        return _run_coeffs(args)
+    if args.subcommand == "table":
         print(render_table(args.kmax))
         return EXIT_OK
-    if config.subcommand == "complexity":
-        return _run_complexity(config, args.Ks, args.Ns)
-    if config.subcommand == "selfcheck":
+    if args.subcommand == "complexity":
+        return _run_complexity(args)
+    if args.subcommand == "selfcheck":
         return _run_selfcheck(args.seed)
-    raise AssertionError(f"unhandled subcommand {config.subcommand!r}")
+    raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
 
 
 def entrypoint() -> None:

@@ -1,8 +1,10 @@
-"""Operation accounting: closed-form cost predictions, instrumented
-measurements of real runs, and the report table comparing the streaming
-cascade against runtime exponentiation.
+"""Operation accounting: closed-form cost predictions, measurements of
+real runs over counted operands, and the report table comparing the
+streaming cascade against runtime exponentiation.
 
-Counting conventions (shared with the instrumented code paths):
+``predict_cascade`` is defined beside :class:`~powsum.cascade.Cascade`,
+which reports it per moment, and is re-exported here. Counting
+conventions (the rules of :class:`~powsum.ops.Counted`):
 
 * an addition into a still-zeroed register at the very first sample is
   free, so a cascade over N samples costs exactly (K+1)N - 1 additions
@@ -18,60 +20,13 @@ Counting conventions (shared with the instrumented code paths):
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-
-@dataclass
-class OpCount:
-    """Tally of general multiplications, constant multiplications, additions.
-
-    General multiplications take two arbitrary operands; constant
-    multiplications have one fixed, precomputable operand (realizable with
-    shifts and adds in hardware). Instrumented code mutates the fields in
-    place; ``+`` combines tallies field-wise.
-    """
-
-    general_mults: int = 0
-    constant_mults: int = 0
-    additions: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.general_mults, self.constant_mults, self.additions) < 0:
-            raise ValueError("operation counts cannot be negative")
-
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.general_mults + other.general_mults,
-            self.constant_mults + other.constant_mults,
-            self.additions + other.additions,
-        )
-
-    def copy(self) -> "OpCount":
-        return replace(self)
-
-
-def _check_domain(K: int, N: int) -> None:
-    if K < 0:
-        raise ValueError("power K must be non-negative")
-    if N < 1:
-        raise ValueError("sample count N must be positive")
-
-
-@lru_cache(maxsize=None)
-def _chain_length(K: int) -> int:
-    # local import: oracle imports OpCount from this module
-    from .oracle import optimal_chain
-
-    return len(optimal_chain(K).steps)
-
-
-def predict_cascade(K: int, N: int) -> OpCount:
-    """Cost of the streaming cascade: K+1 constant multiplications (one per
-    register, independent of N) and (K+1)N - 1 additions."""
-    _check_domain(K, N)
-    return OpCount(general_mults=0, constant_mults=K + 1, additions=(K + 1) * N - 1)
+from .cascade import Cascade, predict_cascade
+from .coeffs import _check_domain, coefficients_closed
+from .oracle import baseline_sum, optimal_chain
+from .ops import Counted, OpCount
 
 
 def predict_baseline(K: int, N: int) -> OpCount:
@@ -82,7 +37,7 @@ def predict_baseline(K: int, N: int) -> OpCount:
     K = 0, where the sum needs no multiplications. Additions: N - 1.
     """
     _check_domain(K, N)
-    general = N * (_chain_length(K) + 1) if K >= 1 else 0
+    general = N * (len(optimal_chain(K)) + 1) if K >= 1 else 0
     return OpCount(general_mults=general, constant_mults=0, additions=N - 1)
 
 
@@ -90,30 +45,25 @@ def predict_baseline_chain_mults(K: int, N: int) -> int:
     """Chain-only baseline multiplication count N * chain_length(K),
     excluding the per-sample multiplication by v[n]."""
     _check_domain(K, N)
-    return N * _chain_length(K) if K >= 1 else 0
+    return N * len(optimal_chain(K)) if K >= 1 else 0
 
 
 def measure_cascade(v: Sequence[int], K: int) -> OpCount:
-    """Run the streaming cascade over ``v`` and return its counted
-    operations (pushes plus one final combination). Empty input measures
-    as all zeros."""
-    from .cascade import Cascade  # local import: cascade imports OpCount
-    from .coeffs import coefficients_closed
-
+    """Run the real cascade over ``v`` as counted operands and return the
+    operations it performed (pushes plus one final combination). Empty
+    input measures as all zeros."""
+    ops = OpCount()
     cascade = Cascade(K)
     for sample in v:
-        cascade.push(sample)
-    ops = cascade.ops.copy()
+        cascade.push(Counted(sample, ops))
     if cascade.samples_seen:
-        cascade.finalize(coefficients_closed(K, cascade.samples_seen), ops=ops)
+        cascade.finalize(coefficients_closed(K, cascade.samples_seen))
     return ops
 
 
 def measure_baseline(v: Sequence[int], K: int) -> OpCount:
-    """Run the exponentiation baseline over ``v`` and return its counted
-    operations."""
-    from .oracle import baseline_sum  # local import, as above
-
+    """Run the exponentiation baseline over ``v`` and return the
+    operations it performed."""
     _, ops = baseline_sum(v, K)
     return ops
 

@@ -13,8 +13,8 @@ from functools import lru_cache
 from itertools import count
 from typing import Sequence
 
-from .costmodel import OpCount
 from .exactmath import ExactInt
+from .ops import Counted, OpCount
 
 # Exhaustive chain search is exponential in chain length; this keeps
 # worst-case searches at desk scale (well under a second).
@@ -143,16 +143,10 @@ def baseline_sum(v: Sequence[ExactInt], K: int) -> tuple[ExactInt, OpCount]:
         raise ValueError("power K must be non-negative")
     ops = OpCount()
     chain = optimal_chain(K) if K >= 1 else None
-    total = 0
+    total: Counted | int = 0
     for n, sample in enumerate(v):
-        if chain is None:
-            term = sample
-        else:
-            term = chain_power(n, chain) * sample
-            ops.general_mults += len(chain.steps) + 1
-        if n == 0:
-            total = term
-        else:
-            total += term
-            ops.additions += 1
-    return total, ops
+        term = Counted(sample, ops)
+        if chain is not None:
+            term = chain_power(Counted(n, ops), chain) * term
+        total += term
+    return int(total), ops

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powsum.cascade import Cascade, FloatCascade, MomentRequest
+from powsum.cascade import Cascade
 from powsum.coeffs import coefficients_closed
 from powsum.exactmath import binomial
+from powsum.ops import Counted, OpCount
 from powsum.oracle import direct_sum
 
 samples = st.integers(-(10**6), 10**6)
@@ -173,45 +174,58 @@ class TestFinalize:
 
 
 class TestFinalizeMany:
+    """One pass serves every power up to K: finalize with the coefficients
+    of a lower power."""
+
     def test_multiple_powers_from_one_pass(self):
         cascade = run_cascade(2, [3, 1, 4])
-        assert cascade.finalize_many([0, 1, 2]) == [8, 9, 17]
-
-    def test_empty_power_list(self):
-        assert Cascade(3).finalize_many([]) == []
+        assert [cascade.finalize(coefficients_closed(p, 3)) for p in (0, 1, 2)] == [8, 9, 17]
 
     def test_single_lower_power(self):
-        cascade = run_cascade(1, [1, 1, 1, 1])
-        assert cascade.finalize_many([1]) == [6]
+        cascade = run_cascade(3, [1, 1, 1, 1])
+        assert cascade.finalize(coefficients_closed(1, 4)) == 6
 
     def test_power_above_cascade_rejected(self):
         cascade = run_cascade(1, [1, 1])
         with pytest.raises(ValueError):
-            cascade.finalize_many([2])
+            cascade.finalize(coefficients_closed(2, 2))
+        with pytest.raises(ValueError):
+            cascade.moment_with_ops(2)
 
     def test_agrees_with_direct_sums(self):
         rng = random.Random(23)
         v = [rng.randint(-1000, 1000) for _ in range(17)]
         cascade = run_cascade(5, v)
         powers = [5, 0, 3, 3]
-        assert cascade.finalize_many(powers) == [direct_sum(v, p) for p in powers]
+        assert [cascade.finalize(coefficients_closed(p, 17)) for p in powers] == [
+            direct_sum(v, p) for p in powers
+        ]
 
 
 class TestOperationCounting:
     def test_push_additions(self):
         for K in (0, 2, 5):
             for N in (1, 2, 9):
-                cascade = run_cascade(K, list(range(N)))
-                assert cascade.ops.additions == (K + 1) * (N - 1)
-                assert cascade.ops.constant_mults == 0
-                assert cascade.ops.general_mults == 0
+                ops = OpCount()
+                run_cascade(K, [Counted(n, ops) for n in range(N)])
+                assert ops == OpCount(additions=(K + 1) * (N - 1))
 
     def test_finalize_tally(self):
-        cascade = run_cascade(3, [5, 6])
-        ops = cascade.ops.copy()
-        cascade.finalize(coefficients_closed(3, 2), ops=ops)
+        ops = OpCount()
+        cascade = run_cascade(3, [Counted(5, ops), Counted(6, ops)])
+        cascade.finalize(coefficients_closed(3, 2))
         assert ops.constant_mults == 4
         assert ops.additions == (3 + 1) * 2 - 1
+
+    @given(v=st.lists(samples, min_size=1, max_size=24), K=st.integers(0, 6), P=st.integers(0, 6))
+    def test_counted_samples_finalize_like_ints(self, v, K, P):
+        P = min(P, K)
+        ops = OpCount()
+        counted = run_cascade(K, [Counted(sample, ops) for sample in v])
+        plain = run_cascade(K, v)
+        coeffs = coefficients_closed(P, len(v))
+        assert counted.finalize(coeffs).value == plain.finalize(coeffs) == direct_sum(v, P)
+        assert [r.value for r in counted.registers] == plain.snapshot()
 
     def test_moment_with_ops_attribution(self):
         cascade = run_cascade(4, [1, 2, 3, 4, 5])
@@ -222,49 +236,31 @@ class TestOperationCounting:
             assert ops.additions == (power + 1) * 5 - 1
             assert ops.general_mults == 0
 
-
-class TestMomentRequest:
-    def test_precomputed_coefficients_match(self):
-        request = MomentRequest(K=3, N=7)
-        assert request.coefficients().coeffs == coefficients_closed(3, 7).coeffs
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MomentRequest(K=-1, N=5)
-        with pytest.raises(ValueError):
-            MomentRequest(K=2, N=0)
-
-    def test_precomputed_set_accepted_by_cascade(self):
-        request = MomentRequest(K=2, N=3)
-        coeffs = request.coefficients()
+    def test_moment_with_ops_takes_precomputed_coefficients(self):
         cascade = run_cascade(2, [3, 1, 4])
-        assert cascade.finalize(coeffs) == 17
+        assert cascade.moment_with_ops(1, coefficients_closed(1, 3))[0] == 9
+        with pytest.raises(ValueError):
+            cascade.moment_with_ops(1, coefficients_closed(2, 3))
+        with pytest.raises(ValueError):
+            cascade.moment_with_ops(1, coefficients_closed(1, 4))
 
 
 class TestFloatCascade:
+    """Floats pushed into the one Cascade: same recurrence, approximate
+    results."""
+
     def test_matches_exact_path_on_small_integers(self):
         rng = random.Random(5)
         v = [rng.randint(-100, 100) for _ in range(20)]
         exact = run_cascade(3, v)
-        approx = FloatCascade(3)
-        for sample in v:
-            approx.push(float(sample))
+        approx = run_cascade(3, [float(sample) for sample in v])
         # values stay well inside exact double range, so equality is exact
         assert approx.snapshot() == [float(r) for r in exact.snapshot()]
         value, _ = approx.moment_with_ops(3)
+        assert isinstance(value, float)
         assert value == float(direct_sum(v, 3))
 
     def test_accepts_fractional_samples(self):
-        cascade = FloatCascade(1)
-        for sample in [0.5, 0.25, -1.5]:
-            cascade.push(sample)
+        cascade = run_cascade(1, [0.5, 0.25, -1.5])
         value, _ = cascade.moment_with_ops(1)
         assert value == pytest.approx(0.25 * 1 + (-1.5) * 2)
-
-    def test_finalize_contract_checks(self):
-        cascade = FloatCascade(2)
-        cascade.push(1.0)
-        with pytest.raises(ValueError):
-            cascade.finalize(coefficients_closed(2, 2))
-        with pytest.raises(ValueError):
-            cascade.finalize(coefficients_closed(1, 1))

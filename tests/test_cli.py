@@ -110,6 +110,14 @@ class TestMoment:
         report = json.loads(captured.out)
         assert float(report["results"][0]["S"]) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-Infinity", "1e400"])
+    def test_float_mode_rejects_non_finite(self, literal, monkeypatch, capsys):
+        code = run_cli(["moment", "-K", "1", "--float"], f"0.5\n{literal}\n", monkeypatch)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and literal in captured.err
+
     def test_deterministic_output(self, monkeypatch, capsys):
         run_cli(["moment", "-K", "2", "-K", "4"], "7\n-2\n9\n", monkeypatch)
         first = capsys.readouterr().out
@@ -216,6 +224,14 @@ class TestComplexity:
         assert cli.main(["complexity", "--Ks", "-1", "--Ns", "10"]) == 2
         assert cli.main(["complexity", "--Ks", "2", "--Ns", "0"]) == 2
         assert cli.main(["complexity", "--Ks", "2;3", "--Ns", "1"]) == 2
+
+    def test_power_beyond_chain_search_limit_rejected(self, capsys):
+        assert cli.main(["complexity", "--Ks", "64", "--Ns", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["complexity", "--Ks", "2,65", "--Ns", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 class TestSelfcheck:
