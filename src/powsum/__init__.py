@@ -27,7 +27,6 @@ from .costmodel import (
     write_csv,
 )
 from .exactmath import (
-    ExactInt,
     alternating_power_sum,
     binomial,
     factorial,
@@ -45,7 +44,6 @@ __all__ = [
     "Cascade",
     "CoefficientSet",
     "ComplexityReport",
-    "ExactInt",
     "IntPolynomial",
     "OpCount",
     "alternating_power_sum",

@@ -15,7 +15,6 @@ with a push. Distinct cascades are fully independent.
 from __future__ import annotations
 
 from .coeffs import CoefficientSet, _check_domain, coefficients_closed
-from .exactmath import ExactInt
 from .ops import OpCount
 
 
@@ -40,10 +39,10 @@ class Cascade:
         if K < 0:
             raise ValueError("power K must be non-negative")
         self.K = K
-        self.registers: list[ExactInt] = [0] * (K + 1)
+        self.registers: list[int] = [0] * (K + 1)
         self.samples_seen = 0
 
-    def push(self, sample: ExactInt) -> None:
+    def push(self, sample: int) -> None:
         """Feed one sample through the cascade.
 
         Register k absorbs the already-updated value of register k-1 from
@@ -56,11 +55,11 @@ class Cascade:
             carry = registers[k] = registers[k] + carry
         self.samples_seen += 1
 
-    def snapshot(self) -> list[ExactInt]:
+    def snapshot(self) -> list[int]:
         """Current register values A_1..A_{K+1}, without mutating state."""
         return list(self.registers)
 
-    def _combine(self, coeffs: CoefficientSet) -> ExactInt:
+    def _combine(self, coeffs: CoefficientSet) -> int:
         # The combination for power P reads only registers 1..P+1, so one
         # cascade serves every power up to its own.
         if coeffs.K > self.K:
@@ -75,7 +74,7 @@ class Cascade:
             total += w * r
         return total
 
-    def finalize(self, coeffs: CoefficientSet) -> ExactInt:
+    def finalize(self, coeffs: CoefficientSet) -> int:
         """Combine the registers into sum(n**P * v[n]) over the samples
         pushed so far, for the power P = coeffs.K <= K.
 
@@ -86,21 +85,12 @@ class Cascade:
         """
         return self._combine(coeffs)
 
-    def moment_with_ops(
-        self, power: int, coeffs: CoefficientSet | None = None
-    ) -> tuple[ExactInt, OpCount]:
+    def moment_with_ops(self, power: int) -> tuple[int, OpCount]:
         """Powered sum for one power <= K, plus the cost model's operation
-        count for that power over the samples pushed so far.
-
-        ``coeffs`` may carry coefficients precomputed for ``power`` and the
-        current sample count; otherwise they are computed here.
-        """
+        count for that power over the samples pushed so far."""
         if not 0 <= power <= self.K:
             raise ValueError(f"power {power} not servable by a cascade of power {self.K}")
         if self.samples_seen < 1:
             raise ValueError("cannot finalize before any sample was pushed")
-        if coeffs is None:
-            coeffs = coefficients_closed(power, self.samples_seen)
-        elif coeffs.K != power:
-            raise ValueError(f"precomputed coefficients are for power {coeffs.K}, not {power}")
+        coeffs = coefficients_closed(power, self.samples_seen)
         return self._combine(coeffs), predict_cascade(power, self.samples_seen)

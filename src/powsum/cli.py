@@ -114,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     moment.add_argument(
         "--expect-n",
         type=_positive_int,
-        help="declared sample count: coefficients are precomputed from it and the "
-        "actual count is verified at end of stream",
+        help="declared sample count: the actual count is verified at end of stream",
     )
     moment.add_argument(
         "--float",
@@ -173,12 +172,6 @@ def _run_moment(args: argparse.Namespace) -> int:
         parse = _finite_float
     cascade = Cascade(max(args.powers))
 
-    precomputed = {}
-    if args.expect_n is not None:
-        precomputed = {
-            power: coefficients_closed(power, args.expect_n) for power in dict.fromkeys(args.powers)
-        }
-
     try:
         if args.input is not None:
             with open(args.input, encoding="utf-8") as stream:
@@ -208,7 +201,7 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     results = []
     for power in args.powers:
-        value, ops = cascade.moment_with_ops(power, precomputed.get(power))
+        value, ops = cascade.moment_with_ops(power)
         results.append({"K": power, "S": str(value), "ops": asdict(ops)})
 
     if args.format == "plain":
@@ -284,6 +277,10 @@ def _run_selfcheck(seed: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Samples and results are exact integers of any size: lift Python's
+    # 4300-digit cap on int<->str conversion, for this process only.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

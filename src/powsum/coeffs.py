@@ -2,7 +2,9 @@
 
 Two independent numeric routes produce the K+1 combination coefficients
 for a concrete (K, N): a Stirling-number form and an alternating binomial
-closed form. A third, symbolic route produces the same coefficients as
+closed form. The closed form is evaluated as a difference table of the
+powers (N+j)^K: K+1 powers and K(K+1)/2 subtractions, with no binomial
+coefficients. A third, symbolic route produces the same coefficients as
 integer polynomials in the sequence length N. All three agree everywhere;
 the test suite never lets them drift apart.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import ExactInt, binomial, factorial, stirling2
+from .exactmath import binomial, factorial, signed_differences, stirling2
 
 
 def _check_domain(K: int, N: int) -> None:
@@ -32,14 +34,14 @@ class CoefficientSet:
 
     K: int
     N: int
-    coeffs: tuple[ExactInt, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_domain(self.K, self.N)
         if len(self.coeffs) != self.K + 1:
             raise ValueError(f"need exactly {self.K + 1} coefficients, got {len(self.coeffs)}")
 
-    def c(self, k: int) -> ExactInt:
+    def c(self, k: int) -> int:
         """One-based accessor: c(k) for 1 <= k <= K+1."""
         if not 1 <= k <= self.K + 1:
             raise IndexError(f"k must be in [1, {self.K + 1}]")
@@ -49,17 +51,12 @@ class CoefficientSet:
 def coefficients_closed(K: int, N: int) -> CoefficientSet:
     """Combination coefficients via the alternating binomial closed form.
 
-    c_k = sum_{j=0}^{k-1} (-1)^j C(k-1, j) (N+j)^K for k = 1..K+1.
+    c_k = sum_{j=0}^{k-1} (-1)^j C(k-1, j) (N+j)^K for k = 1..K+1,
+    which is (-1)^(k-1) times the (k-1)-th forward difference of (N+x)^K
+    at x = 0: the leading entries of one difference table.
     """
     _check_domain(K, N)
-    cs = []
-    for k in range(1, K + 2):
-        total = 0
-        for j in range(k):
-            term = binomial(k - 1, j) * (N + j) ** K
-            total = total - term if j % 2 else total + term
-        cs.append(total)
-    return CoefficientSet(K, N, tuple(cs))
+    return CoefficientSet(K, N, tuple(signed_differences([(N + j) ** K for j in range(K + 1)])))
 
 
 def coefficients_stirling(K: int, N: int) -> CoefficientSet:
@@ -135,21 +132,17 @@ class IntPolynomial:
 def coefficient_polynomials(K: int) -> list[IntPolynomial]:
     """All K+1 combination coefficients as integer polynomials in N.
 
-    Built by binomial-theorem expansion of (N+j)^K inside the closed-form
-    alternating sum, collected coefficient-wise. The degrees fall as
-    K - (k-1): the alternating sum acts as a finite-difference operator on
-    N and annihilates the higher powers.
+    Binomial-theorem expansion of (N+j)^K inside the closed form gives
+    the N^i coefficient of c_k as C(K, i) times the closed form's
+    alternating sum over j^(K-i), one difference table per i. The degrees
+    fall as K - (k-1): the alternating sum acts as a finite-difference
+    operator on N and annihilates the higher powers.
     """
     if K < 0:
         raise ValueError("power K must be non-negative")
-    polys = []
-    for k in range(1, K + 2):
-        coeffs = [0] * (K + 1)
-        for j in range(k):
-            weight = binomial(k - 1, j)
-            if j % 2:
-                weight = -weight
-            for i in range(K + 1):
-                coeffs[i] += weight * binomial(K, i) * j ** (K - i)
-        polys.append(IntPolynomial(tuple(coeffs)))
-    return polys
+    # columns[i][k-1] is the coefficient of N^i in c_k
+    columns = [
+        [binomial(K, i) * d for d in signed_differences([j ** (K - i) for j in range(K + 1)])]
+        for i in range(K + 1)
+    ]
+    return [IntPolynomial(row) for row in zip(*columns)]

@@ -11,20 +11,17 @@ All functions are pure and safe to call from any number of threads.
 from __future__ import annotations
 
 import math
-
-# Python ints are arbitrary precision, which is exactly the exactness
-# guarantee the rest of the package builds on.
-ExactInt = int
+from typing import Sequence
 
 
-def factorial(n: int) -> ExactInt:
+def factorial(n: int) -> int:
     """n! for non-negative n, with 0! == 1."""
     if n < 0:
         raise ValueError("factorial is undefined for negative n")
     return math.factorial(n)
 
 
-def binomial(n: int, k: int) -> ExactInt:
+def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for non-negative arguments.
 
     Returns 0 when k > n; that zero-extension is what makes boundary
@@ -36,7 +33,7 @@ def binomial(n: int, k: int) -> ExactInt:
     return math.comb(n, k)
 
 
-def rising_factorial(x: int, j: int) -> ExactInt:
+def rising_factorial(x: int, j: int) -> int:
     """Rising factorial x(x+1)...(x+j-1); the empty product (j == 0) is 1."""
     if j < 0:
         raise ValueError("rising_factorial requires j >= 0")
@@ -46,7 +43,7 @@ def rising_factorial(x: int, j: int) -> ExactInt:
     return product
 
 
-def stirling2(n: int, k: int) -> ExactInt:
+def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k).
 
     Computed by the explicit alternating sum
@@ -69,21 +66,34 @@ def stirling2(n: int, k: int) -> ExactInt:
     return quotient
 
 
-def alternating_power_sum(m: int, k: int) -> ExactInt:
+def signed_differences(values: Sequence[int]) -> list[int]:
+    """[(-1)^i Delta^i values[0] for i in range(len(values))], where Delta
+    is the forward difference.
+
+    Entry i equals sum_{j=0}^{i} (-1)^j C(i, j) values[j], computed from a
+    difference table without binomial coefficients: each row holds the
+    negated forward differences of the row above, so row i starts with
+    (-1)^i Delta^i values[0]. That costs len(values)(len(values)-1)/2
+    subtractions.
+    """
+    leading, row = [], values
+    while row:
+        leading.append(row[0])
+        row = [a - b for a, b in zip(row, row[1:])]
+    return leading
+
+
+def alternating_power_sum(m: int, k: int) -> int:
     """sum_{j=0}^{k-1} (-1)^j C(k-1, j) j^m, with 0^0 == 1.
 
     Up to sign this is the (k-1)-th finite difference of x^m at x = 0.
     """
     if m < 0 or k < 1:
         raise ValueError("alternating_power_sum requires m >= 0 and k >= 1")
-    total = 0
-    for j in range(k):
-        term = binomial(k - 1, j) * j**m
-        total = total - term if j % 2 else total + term
-    return total
+    return signed_differences([j**m for j in range(k)])[-1]
 
 
-def stirling_power_sum(m: int, k: int) -> ExactInt:
+def stirling_power_sum(m: int, k: int) -> int:
     """(-1)^(k-1) (k-1)! S(m, k-1): the closed form of alternating_power_sum.
 
     The two functions compute the same value along entirely different

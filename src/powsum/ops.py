@@ -14,7 +14,7 @@ operations that code performed. The rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass
@@ -41,9 +41,6 @@ class OpCount:
             self.constant_mults + other.constant_mults,
             self.additions + other.additions,
         )
-
-    def copy(self) -> "OpCount":
-        return replace(self)
 
 
 class Counted:

@@ -13,7 +13,6 @@ from functools import lru_cache
 from itertools import count
 from typing import Sequence
 
-from .exactmath import ExactInt
 from .ops import Counted, OpCount
 
 # Exhaustive chain search is exponential in chain length; this keeps
@@ -21,7 +20,7 @@ from .ops import Counted, OpCount
 MAX_CHAIN_TARGET = 64
 
 
-def direct_sum(v: Sequence[ExactInt], K: int) -> ExactInt:
+def direct_sum(v: Sequence[int], K: int) -> int:
     """Ground truth: sum(n**K * v[n]) by naive repeated multiplication.
 
     The empty product convention 0**0 == 1 means the n = 0 term
@@ -121,7 +120,7 @@ def optimal_chain(K: int) -> AdditionChain:
     raise AssertionError("unreachable: doubling always reaches the target")
 
 
-def chain_power(n: ExactInt, chain: AdditionChain) -> ExactInt:
+def chain_power(n: int, chain: AdditionChain) -> int:
     """n ** chain.target using exactly len(chain) multiplications."""
     powers = [n]
     for a, b in chain.steps:
@@ -129,7 +128,7 @@ def chain_power(n: ExactInt, chain: AdditionChain) -> ExactInt:
     return powers[-1]
 
 
-def baseline_sum(v: Sequence[ExactInt], K: int) -> tuple[ExactInt, OpCount]:
+def baseline_sum(v: Sequence[int], K: int) -> tuple[int, OpCount]:
     """The same value as :func:`direct_sum`, costed as a streaming baseline
     that raises every index to the K-th power at runtime.
 

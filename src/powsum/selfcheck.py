@@ -1,18 +1,19 @@
 """Randomized cross-checks of the whole pipeline, behind the ``selfcheck``
 CLI command.
 
-Every check compares two independent routes to the same value and reports
-the first counterexample it finds. Given the same seed, the run is fully
-deterministic.
+Every check compares two independent routes to the same value. A check is
+a generator that yields ``None`` for each passing case and a
+counterexample for a failing one; the run stops at the first
+counterexample. Given the same seed, the run is fully deterministic.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Any, Iterator
 
 from .cascade import Cascade
-from .coeffs import CoefficientSet, coefficients_closed, coefficients_stirling
+from .coeffs import coefficients_closed, coefficients_stirling
 from .exactmath import (
     alternating_power_sum,
     binomial,
@@ -22,73 +23,55 @@ from .exactmath import (
 )
 from .oracle import direct_sum
 
-CoefficientFn = Callable[[int, int], CoefficientSet]
-
 SAMPLE_MAGNITUDE = 10**6
+TRIALS = 60  # cases per randomized check
+
+Cases = Iterator[dict[str, Any] | None]
 
 
-def _check_cascade_matches_direct_sum(
-    rng: random.Random, trials: int, closed_fn: CoefficientFn
-) -> dict[str, Any]:
-    for _ in range(trials):
+def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
+    for _ in range(TRIALS):
         K = rng.randint(0, 8)
         N = rng.randint(1, 48)
         v = [rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE) for _ in range(N)]
         cascade = Cascade(K)
         for sample in v:
             cascade.push(sample)
-        streamed = cascade.finalize(closed_fn(K, N))
+        streamed = cascade.finalize(coefficients_closed(K, N))
         expected = direct_sum(v, K)
-        if streamed != expected:
-            return {
-                "name": "cascade_matches_direct_sum",
-                "passed": False,
-                "cases": trials,
-                "counterexample": {"K": K, "N": N, "v": v, "streamed": str(streamed), "expected": str(expected)},
-            }
-    return {"name": "cascade_matches_direct_sum", "passed": True, "cases": trials}
+        if streamed == expected:
+            yield None
+        else:
+            yield {"K": K, "N": N, "v": v, "streamed": str(streamed), "expected": str(expected)}
 
 
-def _check_coefficient_paths_agree(
-    rng: random.Random, trials: int, closed_fn: CoefficientFn, stirling_fn: CoefficientFn
-) -> dict[str, Any]:
-    for _ in range(trials):
+def _coefficient_paths_agree(rng: random.Random) -> Cases:
+    for _ in range(TRIALS):
         K = rng.randint(0, 10)
         N = rng.randint(1, 50)
-        closed = closed_fn(K, N).coeffs
-        stirling = stirling_fn(K, N).coeffs
-        if closed != stirling:
-            return {
-                "name": "coefficient_paths_agree",
-                "passed": False,
-                "cases": trials,
-                "counterexample": {
-                    "K": K,
-                    "N": N,
-                    "closed": [str(c) for c in closed],
-                    "stirling": [str(c) for c in stirling],
-                },
+        closed = coefficients_closed(K, N).coeffs
+        stirling = coefficients_stirling(K, N).coeffs
+        if closed == stirling:
+            yield None
+        else:
+            yield {
+                "K": K,
+                "N": N,
+                "closed": [str(c) for c in closed],
+                "stirling": [str(c) for c in stirling],
             }
-    return {"name": "coefficient_paths_agree", "passed": True, "cases": trials}
 
 
-def _check_power_sum_identity() -> dict[str, Any]:
-    cases = 0
+def _power_sum_identity() -> Cases:
     for m in range(13):
         for k in range(1, 14):
-            cases += 1
-            if alternating_power_sum(m, k) != stirling_power_sum(m, k):
-                return {
-                    "name": "power_sum_identity",
-                    "passed": False,
-                    "cases": cases,
-                    "counterexample": {"m": m, "k": k},
-                }
-    return {"name": "power_sum_identity", "passed": True, "cases": cases}
+            if alternating_power_sum(m, k) == stirling_power_sum(m, k):
+                yield None
+            else:
+                yield {"m": m, "k": k}
 
 
-def _check_impulse_response() -> dict[str, Any]:
-    cases = 0
+def _impulse_response() -> Cases:
     for K in range(7):
         for m in range(6):
             for N in range(m + 1, m + 7):
@@ -96,59 +79,50 @@ def _check_impulse_response() -> dict[str, Any]:
                 cascade = Cascade(K)
                 for sample in impulse:
                     cascade.push(sample)
-                cases += 1
                 expected = [binomial(N - 1 - m + k - 1, k - 1) for k in range(1, K + 2)]
-                if cascade.snapshot() != expected:
-                    return {
-                        "name": "impulse_response",
-                        "passed": False,
-                        "cases": cases,
-                        "counterexample": {"K": K, "N": N, "v": impulse},
-                    }
-    return {"name": "impulse_response", "passed": True, "cases": cases}
+                if cascade.snapshot() == expected:
+                    yield None
+                else:
+                    yield {"K": K, "N": N, "v": impulse}
 
 
-def _check_monomial_expansion() -> dict[str, Any]:
-    cases = 0
+def _monomial_expansion() -> Cases:
     for m in range(13):
         for x in range(13):
-            cases += 1
             expansion = sum(
                 stirling2(m, j) * (-1) ** (m - j) * rising_factorial(x, j) for j in range(m + 1)
             )
-            if expansion != x**m:
-                return {
-                    "name": "monomial_expansion",
-                    "passed": False,
-                    "cases": cases,
-                    "counterexample": {"m": m, "x": x},
-                }
-    return {"name": "monomial_expansion", "passed": True, "cases": cases}
+            if expansion == x**m:
+                yield None
+            else:
+                yield {"m": m, "x": x}
 
 
-def run_selfcheck(
-    seed: int = 0,
-    trials: int = 60,
-    closed_fn: CoefficientFn | None = None,
-    stirling_fn: CoefficientFn | None = None,
-) -> dict[str, Any]:
-    """Run every consistency check and return a JSON-ready report.
+def _report(name: str, cases: Cases) -> dict[str, Any]:
+    """Run a check up to its first counterexample; ``cases`` in the report
+    counts the cases actually run."""
+    run = 0
+    for run, counterexample in enumerate(cases, start=1):
+        if counterexample is not None:
+            return {"name": name, "passed": False, "cases": run, "counterexample": counterexample}
+    return {"name": name, "passed": True, "cases": run}
 
-    ``closed_fn``/``stirling_fn`` default to the real coefficient
-    generators; tests inject corrupted ones to exercise the failure path.
-    """
-    closed_fn = closed_fn or coefficients_closed
-    stirling_fn = stirling_fn or coefficients_stirling
+
+def run_selfcheck(seed: int = 0) -> dict[str, Any]:
+    """Run every consistency check and return a JSON-ready report."""
     rng = random.Random(seed)
-    checks = [
-        _check_cascade_matches_direct_sum(rng, trials, closed_fn),
-        _check_coefficient_paths_agree(rng, trials, closed_fn, stirling_fn),
-        _check_power_sum_identity(),
-        _check_impulse_response(),
-        _check_monomial_expansion(),
-    ]
+    # The randomized checks share one generator and run in this order, so
+    # a seed fixes every case.
+    checks = {
+        "cascade_matches_direct_sum": _cascade_matches_direct_sum(rng),
+        "coefficient_paths_agree": _coefficient_paths_agree(rng),
+        "power_sum_identity": _power_sum_identity(),
+        "impulse_response": _impulse_response(),
+        "monomial_expansion": _monomial_expansion(),
+    }
+    reports = [_report(name, cases) for name, cases in checks.items()]
     return {
         "seed": seed,
-        "all_passed": all(check["passed"] for check in checks),
-        "checks": checks,
+        "all_passed": all(report["passed"] for report in reports),
+        "checks": reports,
     }

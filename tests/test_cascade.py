@@ -236,14 +236,6 @@ class TestOperationCounting:
             assert ops.additions == (power + 1) * 5 - 1
             assert ops.general_mults == 0
 
-    def test_moment_with_ops_takes_precomputed_coefficients(self):
-        cascade = run_cascade(2, [3, 1, 4])
-        assert cascade.moment_with_ops(1, coefficients_closed(1, 3))[0] == 9
-        with pytest.raises(ValueError):
-            cascade.moment_with_ops(1, coefficients_closed(2, 3))
-        with pytest.raises(ValueError):
-            cascade.moment_with_ops(1, coefficients_closed(1, 4))
-
 
 class TestFloatCascade:
     """Floats pushed into the one Cascade: same recurrence, approximate

@@ -118,6 +118,12 @@ class TestMoment:
         assert captured.out == ""
         assert "line 2" in captured.err and literal in captured.err
 
+    def test_sample_beyond_int_str_digit_limit(self, monkeypatch, capsys):
+        # Python caps int<->str conversion at 4300 digits by default
+        sample = "-" + "1234567890" * 500
+        assert run_cli(["moment", "-K", "0"], sample + "\n", monkeypatch) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["S"] == sample
+
     def test_deterministic_output(self, monkeypatch, capsys):
         run_cli(["moment", "-K", "2", "-K", "4"], "7\n-2\n9\n", monkeypatch)
         first = capsys.readouterr().out
@@ -160,6 +166,11 @@ class TestCoeffs:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "8 -19 18 -6"
         assert "not the unique" in out[1]
+
+    def test_coefficients_beyond_int_str_digit_limit(self, capsys):
+        assert cli.main(["coeffs", "-K", "800", "-N", "1000000"]) == 0
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        assert coefficients[0] == "1" + "0" * 4800  # (10**6) ** 800
 
     @pytest.mark.parametrize(
         "argv",
@@ -246,6 +257,7 @@ class TestSelfcheck:
             "impulse_response",
             "monomial_expansion",
         }
+        assert [check["cases"] for check in report["checks"]] == [60, 60, 169, 252, 169]
 
     def test_same_seed_same_output(self, capsys):
         cli.main(["selfcheck", "--seed", "7"])
@@ -269,6 +281,8 @@ class TestSelfcheck:
         failed = next(check for check in report["checks"] if not check["passed"])
         counterexample = failed["counterexample"]
         assert {"K", "N", "v"} <= set(counterexample)
+        # the first randomized case already fails, and the report says so
+        assert failed["cases"] == 1
 
 
 class TestUsage:

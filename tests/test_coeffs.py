@@ -31,6 +31,11 @@ class TestNumericPaths:
             for N in range(1, 51):
                 assert coefficients_closed(K, N).coeffs == coefficients_stirling(K, N).coeffs
 
+    @pytest.mark.parametrize("K", [11, 24, 33, 40])
+    @pytest.mark.parametrize("N", [51, 65537, 10**6 + 3, 10**12])
+    def test_cross_path_equality_at_magnitude(self, K, N):
+        assert coefficients_closed(K, N).coeffs == coefficients_stirling(K, N).coeffs
+
     def test_first_coefficient_is_nth_power(self):
         for K in range(9):
             for N in (1, 2, 7, 31):

@@ -26,12 +26,6 @@ class TestOpCount:
         with pytest.raises(ValueError):
             OpCount(general_mults=-1)
 
-    def test_copy_is_independent(self):
-        original = OpCount(additions=5)
-        duplicate = original.copy()
-        duplicate.additions += 1
-        assert original.additions == 5
-
 
 class TestPredictions:
     @pytest.mark.parametrize(

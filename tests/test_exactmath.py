@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from powsum.exactmath import (
     binomial,
     factorial,
     rising_factorial,
+    signed_differences,
     stirling2,
     stirling_power_sum,
 )
@@ -89,6 +92,17 @@ class TestStirling2:
                     for j in range(m + 1)
                 )
                 assert expansion == x**m, (m, x)
+
+
+class TestSignedDifferences:
+    @given(values=st.lists(st.integers(-(10**30), 10**30), max_size=20))
+    def test_matches_definition(self, values):
+        # entry i is sum_{j<=i} (-1)^j C(i, j) values[j]
+        expected = [
+            sum((-1) ** j * math.comb(i, j) * values[j] for j in range(i + 1))
+            for i in range(len(values))
+        ]
+        assert signed_differences(values) == expected
 
 
 class TestPowerSumIdentity:
