@@ -41,6 +41,7 @@ class Cascade:
         self.K = K
         self.registers: list[int] = [0] * (K + 1)
         self.samples_seen = 0
+        self._indices = range(K + 1)  # built once, not on every push
 
     def push(self, sample: int) -> None:
         """Feed one sample through the cascade.
@@ -51,7 +52,7 @@ class Cascade:
         """
         registers = self.registers
         carry = sample
-        for k in range(len(registers)):
+        for k in self._indices:
             carry = registers[k] = registers[k] + carry
         self.samples_seen += 1
 

@@ -11,14 +11,16 @@ Subcommands:
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required.
 
-Sample input is line-delimited decimal integers (finite decimal floats
-with ``--float``); blank lines and lines starting with ``#`` are ignored. All output is deterministic for
-identical inputs and flags (randomized checks take an explicit seed).
+Sample input is line-delimited ASCII decimal integers (finite decimal
+floats with ``--float``); blank lines and lines starting with ``#`` are
+ignored. All output is deterministic for identical inputs and flags
+(randomized checks take an explicit seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -37,6 +39,9 @@ EXIT_USAGE = 2
 EXIT_EMPTY_INPUT = 3
 
 
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
+
+
 class SampleParseError(Exception):
     def __init__(self, lineno: int, text: str) -> None:
         super().__init__(f"line {lineno}: cannot parse sample {text!r}")
@@ -48,17 +53,48 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], o
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
     One sample is in flight at a time; nothing is buffered beyond the
-    cascade registers and the current line.
+    cascade registers and the current line. Every sample is one
+    ``cascade.push`` call: the benchmark's trace (``bench/traced.py``)
+    counts those calls as samples and derives the skipped lines from them.
+
+    A sample is ASCII decimal text (``parse`` decides the literal form)
+    with optional surrounding whitespace; a line holding a ``_`` or a
+    non-ASCII character is not one, since ``int`` and ``float`` would
+    accept digit separators and non-ASCII digits.
     """
+    push = cascade.push
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
+        # Parse first: int() and float() skip the padding and the newline
+        # themselves, so only the other lines need stripping.
+        if raw.isascii() and "_" not in raw:
+            try:
+                value = parse(raw)
+            except ValueError:
+                pass
+            else:
+                push(value)  # type: ignore[arg-type]
+                continue
+        value = _parse_stripped(lineno, raw, parse)
+        if value is not None:
+            push(value)  # type: ignore[arg-type]
+
+
+def _parse_stripped(lineno: int, raw: str, parse: Callable[[str], object]) -> object:
+    """The reader's slow path, for a line the fast path did not parse: the
+    sample, or None for a blank or '#' line; otherwise SampleParseError."""
+    text = raw.strip()
+    if not text or text.startswith("#"):
+        return None
+    # str.strip() also removes the separators \x1c-\x1f, which int() and
+    # float() do not skip
+    if raw.isascii() and "_" not in raw:
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError:
-            raise SampleParseError(lineno, text) from None
-        cascade.push(value)  # type: ignore[arg-type]
+            pass
+    # the same text as str.strip() on an ASCII line; keeps non-ASCII
+    # padding visible in the message
+    raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
 
 
 def _finite_float(text: str) -> float:
@@ -69,22 +105,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _decimal_int(text: str) -> int:
+    """int(text) for ASCII text without "_", the grammar of samples too."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def _comma_separated_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [_decimal_int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _decimal_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _decimal_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -156,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     complexity_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
 
     selfcheck_cmd = sub.add_parser("selfcheck", help="run randomized consistency checks")
-    selfcheck_cmd.add_argument("--seed", type=int, default=0)
+    selfcheck_cmd.add_argument("--seed", type=_decimal_int, default=0)
     selfcheck_cmd.add_argument("--format", choices=("json",), default="json")
 
     return parser
@@ -174,9 +217,14 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     try:
         if args.input is not None:
-            with open(args.input, encoding="utf-8") as stream:
+            # undecodable bytes become lone surrogates, which are not ASCII,
+            # so they fail as a parse error with their line number
+            with open(args.input, encoding="utf-8", errors="surrogateescape") as stream:
                 push_stream(cascade, stream, parse)
         else:
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                # the default is "strict" outside the C and POSIX locales
+                sys.stdin.reconfigure(errors="surrogateescape")
             push_stream(cascade, sys.stdin, parse)
     except SampleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

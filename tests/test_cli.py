@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from powsum import cli
-from powsum.coeffs import CoefficientSet
+from powsum.cascade import Cascade
+from powsum.coeffs import CoefficientSet, coefficients_closed
 from powsum.oracle import direct_sum
 
 
@@ -118,6 +124,35 @@ class TestMoment:
         assert captured.out == ""
         assert "line 2" in captured.err and literal in captured.err
 
+    def test_float_mode_rejects_digit_separators(self, monkeypatch, capsys):
+        code = run_cli(["moment", "-K", "1", "--float"], "0.5\n1_0.5\n", monkeypatch)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "1_0.5" in captured.err
+
+    def test_undecodable_input_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.txt"
+        path.write_bytes(b"1\n\xff\n")
+        assert cli.main(["moment", "-K", "0", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "Traceback" not in captured.err
+
+    def test_undecodable_stdin_is_a_parse_error_in_any_locale(self):
+        # outside the C and POSIX locales Python decodes stdin strictly;
+        # PYTHONIOENCODING makes that so here
+        process = subprocess.run(
+            [sys.executable, "-m", "powsum", "moment", "-K", "0"],
+            input=b"1\n\xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=60,
+        )
+        assert process.returncode == 2
+        assert process.stdout == b""
+        assert b"line 2" in process.stderr and b"Traceback" not in process.stderr
+
     def test_sample_beyond_int_str_digit_limit(self, monkeypatch, capsys):
         # Python caps int<->str conversion at 4300 digits by default
         sample = "-" + "1234567890" * 500
@@ -138,6 +173,93 @@ class TestMoment:
         assert set(row) == {"K", "S", "ops"}
         assert set(row["ops"]) == {"general_mults", "constant_mults", "additions"}
         assert isinstance(row["S"], str)
+
+
+# int() and float() accept every one of these; none is ASCII decimal text
+NON_DECIMAL = ["1_000", "\u0661\u0662", "\uff15", "\u00a05", "5\u00a0"]
+
+
+@pytest.mark.parametrize("text", NON_DECIMAL)
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["moment", "-K", "0"], "1\n{}\n"),
+        (["moment", "-K", "0", "--float"], "1\n{}\n"),
+        (["moment", "-K", "{}"], "1\n"),
+        (["moment", "-K", "0", "--expect-n", "{}"], "1\n"),
+        (["coeffs", "-K", "{}", "-N", "3"], None),
+        (["coeffs", "-K", "1", "-N", "{}"], None),
+        (["complexity", "--Ks", "2,{}", "--Ns", "10"], None),
+        (["selfcheck", "--seed", "{}"], None),
+    ],
+    ids=["sample", "float-sample", "moment-K", "expect-n", "coeffs-K", "coeffs-N", "Ks", "seed"],
+)
+def test_non_decimal_text_rejected(argv, stdin, text, monkeypatch, capsys):
+    argv = [arg.format(text) for arg in argv]
+    code = run_cli(argv, stdin and stdin.format(text), monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    if stdin and "{}" in stdin:
+        assert f"line 2: cannot parse sample {text!r}" in captured.err
+    else:
+        assert "argument" in captured.err  # argparse names the flag
+
+
+ASCII_SPACE = [c for c in map(chr, range(128)) if c.isspace() and c not in "\n\r"]
+padding = st.text(alphabet=ASCII_SPACE, max_size=3)
+
+
+@st.composite
+def sample_files(draw):
+    """Text of an input file with padded samples, blanks and comments,
+    plus the samples it holds."""
+    samples, lines = [], []
+    for kind in draw(st.lists(st.sampled_from(["sample", "blank", "comment"]), max_size=30)):
+        if kind == "sample":
+            value = draw(st.integers(-(10**20), 10**20))
+            sign = "+" if value >= 0 and draw(st.booleans()) else ""
+            lines.append(draw(padding) + sign + str(value) + draw(padding))
+            samples.append(value)
+        elif kind == "blank":
+            lines.append(draw(padding))
+        else:
+            comment = draw(st.text(st.characters(blacklist_characters="\n\r"), max_size=10))
+            lines.append(" " * draw(st.integers(0, 2)) + "#" + comment)
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if endings and draw(st.booleans()):
+        endings[-1] = ""  # no final newline
+    return "".join(line + end for line, end in zip(lines, endings)), samples
+
+
+class TestPushStream:
+    @given(sample_files())
+    def test_matches_direct_sum(self, file):
+        text, samples = file
+        for K in range(4):
+            cascade = Cascade(K)
+            cli.push_stream(cascade, io.StringIO(text), int)
+            assert cascade.samples_seen == len(samples)
+            if samples:
+                assert cascade.finalize(coefficients_closed(K, len(samples))) == direct_sum(
+                    samples, K
+                )
+
+    def test_one_push_per_sample(self, monkeypatch):
+        # the benchmark's trace counts Cascade.push calls as samples
+        calls = []
+        push = Cascade.push
+
+        def counting_push(self, sample):
+            calls.append(sample)
+            push(self, sample)
+
+        monkeypatch.setattr(Cascade, "push", counting_push)
+        cascade = Cascade(2)
+        lines = ["3\n", "\n", "# note\n", " -1 \r\n", "\x1c4\x1f\n", "+5", "   \n", "  # x\n"]
+        cli.push_stream(cascade, lines, int)
+        assert calls == [3, -1, 4, 5]
+        assert cascade.samples_seen == 4
 
 
 class TestCoeffs:
