@@ -22,17 +22,7 @@ from .costmodel import (
     measure_baseline,
     measure_cascade,
     predict_baseline,
-    predict_baseline_chain_mults,
     predict_cascade,
-    write_csv,
-)
-from .exactmath import (
-    alternating_power_sum,
-    binomial,
-    factorial,
-    rising_factorial,
-    stirling2,
-    stirling_power_sum,
 )
 from .oracle import AdditionChain, baseline_sum, chain_power, direct_sum, optimal_chain
 from .selfcheck import run_selfcheck
@@ -46,26 +36,18 @@ __all__ = [
     "ComplexityReport",
     "IntPolynomial",
     "OpCount",
-    "alternating_power_sum",
     "baseline_sum",
-    "binomial",
     "chain_power",
     "coefficient_polynomials",
     "coefficients_closed",
     "coefficients_stirling",
     "complexity_table",
     "direct_sum",
-    "factorial",
     "measure_baseline",
     "measure_cascade",
     "optimal_chain",
     "predict_baseline",
-    "predict_baseline_chain_mults",
     "predict_cascade",
-    "rising_factorial",
     "run_selfcheck",
-    "stirling2",
-    "stirling_power_sum",
-    "write_csv",
     "__version__",
 ]

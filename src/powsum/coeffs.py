@@ -11,9 +11,10 @@ the test suite never lets them drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .exactmath import binomial, factorial, signed_differences, stirling2
+from .exactmath import binomial, signed_differences, stirling2
 
 
 def _check_domain(K: int, N: int) -> None:
@@ -28,8 +29,7 @@ class CoefficientSet:
     """The K+1 combination coefficients for a concrete power K and length N.
 
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
-    zero-based, so ``coeffs[i]`` holds c_{i+1}. Use :meth:`c` when the
-    one-based view reads better.
+    zero-based, so ``coeffs[i]`` holds c_{i+1}.
     """
 
     K: int
@@ -40,12 +40,6 @@ class CoefficientSet:
         _check_domain(self.K, self.N)
         if len(self.coeffs) != self.K + 1:
             raise ValueError(f"need exactly {self.K + 1} coefficients, got {len(self.coeffs)}")
-
-    def c(self, k: int) -> int:
-        """One-based accessor: c(k) for 1 <= k <= K+1."""
-        if not 1 <= k <= self.K + 1:
-            raise IndexError(f"k must be in [1, {self.K + 1}]")
-        return self.coeffs[k - 1]
 
 
 def coefficients_closed(K: int, N: int) -> CoefficientSet:
@@ -75,7 +69,7 @@ def coefficients_stirling(K: int, N: int) -> CoefficientSet:
         total = 0
         for m in range(k - 1, K + 1):
             total += binomial(K, m) * N ** (K - m) * stirling2(m, k - 1)
-        cs.append(sign * factorial(k - 1) * total)
+        cs.append(sign * math.factorial(k - 1) * total)
     return CoefficientSet(K, N, tuple(cs))
 
 

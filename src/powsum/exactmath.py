@@ -14,13 +14,6 @@ import math
 from typing import Sequence
 
 
-def factorial(n: int) -> int:
-    """n! for non-negative n, with 0! == 1."""
-    if n < 0:
-        raise ValueError("factorial is undefined for negative n")
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for non-negative arguments.
 
@@ -60,7 +53,7 @@ def stirling2(n: int, k: int) -> int:
     for i in range(k + 1):
         term = binomial(k, i) * (k - i) ** n
         total = total - term if i % 2 else total + term
-    quotient, remainder = divmod(total, factorial(k))
+    quotient, remainder = divmod(total, math.factorial(k))
     # the alternating sum is always an exact multiple of k!
     assert remainder == 0
     return quotient
@@ -103,4 +96,4 @@ def stirling_power_sum(m: int, k: int) -> int:
     if m < 0 or k < 1:
         raise ValueError("stirling_power_sum requires m >= 0 and k >= 1")
     sign = -1 if (k - 1) % 2 else 1
-    return sign * factorial(k - 1) * stirling2(m, k - 1)
+    return sign * math.factorial(k - 1) * stirling2(m, k - 1)

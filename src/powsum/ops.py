@@ -24,7 +24,7 @@ class OpCount:
     General multiplications take two arbitrary operands; constant
     multiplications have one fixed, precomputable operand (realizable with
     shifts and adds in hardware). :class:`Counted` operands mutate the
-    fields in place; ``+`` combines tallies field-wise.
+    fields in place.
     """
 
     general_mults: int = 0
@@ -34,13 +34,6 @@ class OpCount:
     def __post_init__(self) -> None:
         if min(self.general_mults, self.constant_mults, self.additions) < 0:
             raise ValueError("operation counts cannot be negative")
-
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.general_mults + other.general_mults,
-            self.constant_mults + other.constant_mults,
-            self.additions + other.additions,
-        )
 
 
 class Counted:

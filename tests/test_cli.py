@@ -324,6 +324,12 @@ class TestTable:
         header = capsys.readouterr().out.splitlines()[0].split()
         assert header == ["K", "c_1", "c_2", "c_3"]
 
+    def test_kmax_beyond_limit_refused(self, capsys):
+        assert cli.main(["table", "--kmax", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --kmax")
+
 
 class TestComplexity:
     def test_default_matches_reference_comparison(self, capsys):
@@ -405,6 +411,33 @@ class TestSelfcheck:
         assert {"K", "N", "v"} <= set(counterexample)
         # the first randomized case already fails, and the report says so
         assert failed["cases"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # output far beyond the stdout buffer: a write inside print() fails
+        ["coeffs", "-K", "300", "-N", "7", "--format", "plain"],
+        ["table", "--kmax", "40"],
+        # output that stays buffered: the flush at exit fails
+        ["coeffs", "-K", "2", "-N", "3"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv, tmp_path):
+    # block-buffered stdout, as without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "powsum", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+        process.stdout.close()  # before the child writes anything
+        assert process.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        stderr.seek(0)
+        assert stderr.read() == b""
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from powsum.coeffs import (
@@ -7,7 +9,7 @@ from powsum.coeffs import (
     coefficients_closed,
     coefficients_stirling,
 )
-from powsum.exactmath import binomial, factorial
+from powsum.exactmath import binomial
 from tests.helpers import TABLE_GOLDEN, solve_exact
 
 
@@ -39,13 +41,13 @@ class TestNumericPaths:
     def test_first_coefficient_is_nth_power(self):
         for K in range(9):
             for N in (1, 2, 7, 31):
-                assert coefficients_closed(K, N).c(1) == N**K
+                assert coefficients_closed(K, N).coeffs[0] == N**K
 
     def test_last_coefficient_is_signed_factorial(self):
         # the K-th finite difference of a degree-K monomial
         for K in range(9):
             for N in (1, 5, 12):
-                assert coefficients_closed(K, N).c(K + 1) == (-1) ** K * factorial(K)
+                assert coefficients_closed(K, N).coeffs[K] == (-1) ** K * math.factorial(K)
 
     @pytest.mark.parametrize("fn", [coefficients_closed, coefficients_stirling])
     def test_domain_errors(self, fn):
@@ -53,14 +55,6 @@ class TestNumericPaths:
             fn(-1, 5)
         with pytest.raises(ValueError):
             fn(2, 0)
-
-    def test_one_based_accessor(self):
-        cs = coefficients_closed(2, 3)
-        assert [cs.c(k) for k in (1, 2, 3)] == [9, -7, 2]
-        with pytest.raises(IndexError):
-            cs.c(0)
-        with pytest.raises(IndexError):
-            cs.c(4)
 
     def test_coefficient_set_length_enforced(self):
         with pytest.raises(ValueError):

@@ -7,23 +7,12 @@ from hypothesis import strategies as st
 from powsum.exactmath import (
     alternating_power_sum,
     binomial,
-    factorial,
     rising_factorial,
     signed_differences,
     stirling2,
     stirling_power_sum,
 )
 from tests.helpers import stirling2_recurrence
-
-
-class TestFactorial:
-    @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (5, 120), (12, 479001600)])
-    def test_values(self, n, expected):
-        assert factorial(n) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
 
 
 class TestBinomial:
@@ -55,11 +44,11 @@ class TestRisingFactorial:
         # x^(rising j) == j! * C(x+j-1, j) for positive x
         for x in range(1, 21):
             for j in range(11):
-                assert rising_factorial(x, j) == factorial(j) * binomial(x + j - 1, j)
+                assert rising_factorial(x, j) == math.factorial(j) * binomial(x + j - 1, j)
 
     @given(x=st.integers(1, 500), j=st.integers(0, 40))
     def test_factorial_binomial_identity_random(self, x, j):
-        assert rising_factorial(x, j) == factorial(j) * binomial(x + j - 1, j)
+        assert rising_factorial(x, j) == math.factorial(j) * binomial(x + j - 1, j)
 
 
 class TestStirling2:

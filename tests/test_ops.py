@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pkgutil
 import subprocess
 import sys
@@ -85,3 +86,57 @@ def test_no_import_inside_functions():
 def test_every_public_name_resolves():
     for name in powsum.__all__:
         assert hasattr(powsum, name), name
+
+
+def test_public_surface():
+    assert sorted(powsum.__all__) == [
+        "AdditionChain",
+        "Cascade",
+        "CoefficientSet",
+        "ComplexityReport",
+        "IntPolynomial",
+        "OpCount",
+        "__version__",
+        "baseline_sum",
+        "chain_power",
+        "coefficient_polynomials",
+        "coefficients_closed",
+        "coefficients_stirling",
+        "complexity_table",
+        "direct_sum",
+        "measure_baseline",
+        "measure_cascade",
+        "optimal_chain",
+        "predict_baseline",
+        "predict_cascade",
+        "run_selfcheck",
+    ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# code that imports powsum names but that a change to the package does not edit
+PINNING_FILES = sorted(ROOT.glob("bench/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+@pytest.mark.parametrize("path", PINNING_FILES, ids=lambda p: p.name)
+def test_names_pinned_outside_the_package_resolve(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "powsum":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+        # powsum.<module>.<name>, as in powsum.cli.push_stream
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "powsum"
+        ):
+            module = importlib.import_module(f"powsum.{node.value.attr}")
+            assert hasattr(module, node.attr), f"{path.name}: {module.__name__}.{node.attr}"
+
+
+def test_cascade_methods_the_tracer_wraps_exist():
+    # bench/traced.py wraps these by name
+    for method in ("push", "finalize", "moment_with_ops"):
+        assert callable(getattr(powsum.Cascade, method, None)), method
