@@ -8,9 +8,13 @@ Subcommands:
 * ``complexity``  operation-count comparison table
 * ``selfcheck``   randomized internal consistency checks
 
+Powers are bounded before any work: ``-K`` of ``moment`` and ``coeffs``
+at most 2000, ``table --kmax`` at most 100.
+
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 141 stdout closed before all
 output was written (128 + SIGPIPE, as a shell reports for ``seq | head``).
+A closed stderr loses the messages, not the exit code.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -27,7 +31,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TextIO
 
 from .cascade import Cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
@@ -45,6 +49,13 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 # 100 takes 2.4 s and 35 MB, 200 takes 38.5 s and 648 MB, and 300 outlasts
 # a 120 s timeout
 MAX_TABLE_KMAX = 100
+
+# coefficient generation grows steeply with -K (2-core Xeon VM):
+# coefficients_closed(2000, 7) takes 2.7 s in process and (3000, 7) 9.6 s;
+# coeffs -K 1600 -N 7 --format plain takes 2.1 s and prints 6.9 MB. moment
+# allocates K+1 registers up front, and the bound also caps what one run
+# keeps in the coefficient memo.
+MAX_K = 2000
 
 
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
@@ -105,6 +116,15 @@ def _parse_stripped(lineno: int, raw: str, parse: Callable[[str], object]) -> ob
     raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
 
 
+def _print_stderr(line: str) -> None:
+    """Print a message line to stderr. An unwritable stderr loses the line,
+    not the exit code; argparse ignores the same OSError for its messages."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _finite_float(text: str) -> float:
     """float(text), rejecting nan, inf and literals that overflow to inf."""
     value = float(text)
@@ -159,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=_nonnegative_int,
         required=True,
-        help="power K; repeat the flag to get several moments from the same pass",
+        help=f"power K, at most {MAX_K}; repeat the flag to get several moments from the same pass",
     )
     moment.add_argument("--input", help="sample file, one integer per line (default: stdin)")
     moment.add_argument(
@@ -177,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     moment.add_argument("--format", choices=("json", "plain"), default="json")
 
     coeffs_cmd = sub.add_parser("coeffs", help="combination coefficients for a concrete (K, N)")
-    coeffs_cmd.add_argument("-K", "--power", type=_nonnegative_int, required=True)
+    coeffs_cmd.add_argument(
+        "-K", "--power", type=_nonnegative_int, required=True, help=f"power K, at most {MAX_K}"
+    )
     coeffs_cmd.add_argument("-N", "--length", type=_positive_int, required=True)
     coeffs_cmd.add_argument("--format", choices=("json", "plain"), default="json")
 
@@ -216,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_moment(args: argparse.Namespace) -> int:
     parse: Callable[[str], object] = int
     if args.float_mode:
-        print(
-            "warning: --float uses double precision; results are approximate",
-            file=sys.stderr,
-        )
+        _print_stderr("warning: --float uses double precision; results are approximate")
         parse = _finite_float
     cascade = Cascade(max(args.powers))
 
@@ -235,21 +254,15 @@ def _run_moment(args: argparse.Namespace) -> int:
                 sys.stdin.reconfigure(errors="surrogateescape")
             push_stream(cascade, sys.stdin, parse)
     except (SampleParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return EXIT_USAGE
 
     n_samples = cascade.samples_seen
     if n_samples == 0:
-        print(
-            "error: no samples in input; powered sums are undefined for an empty stream",
-            file=sys.stderr,
-        )
+        _print_stderr("error: no samples in input; powered sums are undefined for an empty stream")
         return EXIT_EMPTY_INPUT
     if args.expect_n is not None and n_samples != args.expect_n:
-        print(
-            f"error: expected {args.expect_n} samples but the stream held {n_samples}",
-            file=sys.stderr,
-        )
+        _print_stderr(f"error: expected {args.expect_n} samples but the stream held {n_samples}")
         return EXIT_USAGE
 
     results = []
@@ -313,7 +326,7 @@ def render_table(kmax: int) -> str:
 def _run_complexity(args: argparse.Namespace) -> int:
     # the baseline's exhaustive addition-chain search stops at MAX_CHAIN_TARGET
     if not all(0 <= K <= MAX_CHAIN_TARGET for K in args.Ks) or any(N < 1 for N in args.Ns):
-        print(f"error: --Ks must be in [0, {MAX_CHAIN_TARGET}] and --Ns positive", file=sys.stderr)
+        _print_stderr(f"error: --Ks must be in [0, {MAX_CHAIN_TARGET}] and --Ns positive")
         return EXIT_USAGE
     reports = complexity_table(args.Ks, args.Ns)
     if args.format == "json":
@@ -329,6 +342,11 @@ def _run_selfcheck(seed: int) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_SELFCHECK_FAILED
 
 
+def _refuse_above(flag: str, limit: int) -> int:
+    _print_stderr(f"error: {flag} must be at most {limit}")
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
     # Samples and results are exact integers of any size: lift Python's
     # 4300-digit cap on int<->str conversion, for this process only.
@@ -342,13 +360,16 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     if args.subcommand == "moment":
+        if max(args.powers) > MAX_K:
+            return _refuse_above("-K", MAX_K)
         return _run_moment(args)
     if args.subcommand == "coeffs":
+        if args.power > MAX_K:
+            return _refuse_above("-K", MAX_K)
         return _run_coeffs(args)
     if args.subcommand == "table":
         if args.kmax > MAX_TABLE_KMAX:
-            print(f"error: --kmax must be at most {MAX_TABLE_KMAX}", file=sys.stderr)
-            return EXIT_USAGE
+            return _refuse_above("--kmax", MAX_TABLE_KMAX)
         print(render_table(args.kmax))
         return EXIT_OK
     if args.subcommand == "complexity":
@@ -358,14 +379,32 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
 
 
+def _discard(stream: TextIO) -> None:
+    """Point a stream's file descriptor at /dev/null, so the interpreter's
+    flush at exit has nowhere to fail and keeps the exit code."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def entrypoint() -> None:
+    try:
+        # fails when fd 2 is closed or not open for writing: print() and
+        # argparse (which before Python 3.11 does not ignore the error) would
+        # raise, or write to stdout if the interpreter found fd 2 closed
+        os.write(2, b"")
+    except OSError:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
         code = main()
         # flushed here, so a reader that left early fails inside the try,
         # not in the interpreter's flush at exit
         sys.stdout.flush()
     except BrokenPipeError:
-        # point stdout at /dev/null so the flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard(sys.stdout)
         code = EXIT_BROKEN_PIPE
+    try:
+        sys.stderr.flush()
+    except OSError:
+        # the reader of stderr left, and a message that failed to print is
+        # still buffered
+        _discard(sys.stderr)
     sys.exit(code)

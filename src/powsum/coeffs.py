@@ -4,15 +4,20 @@ Two independent numeric routes produce the K+1 combination coefficients
 for a concrete (K, N): a Stirling-number form and an alternating binomial
 closed form. The closed form is evaluated as a difference table of the
 powers (N+j)^K: K+1 powers and K(K+1)/2 subtractions, with no binomial
-coefficients. A third, symbolic route produces the same coefficients as
-integer polynomials in the sequence length N. All three agree everywhere;
-the test suite never lets them drift apart.
+coefficients. For the running pattern, one call per sample with N rising
+by one, the closed form keeps the last set returned for each K and steps
+it to N+1 with K subtractions instead (:meth:`CoefficientSet.step`). The
+sets are frozen, so concurrent callers always get correct sets. A third,
+symbolic route produces the same coefficients as integer polynomials in the
+sequence length N. All three agree everywhere; the test suite never lets
+them drift apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .exactmath import binomial, signed_differences, stirling2
 
@@ -41,6 +46,20 @@ class CoefficientSet:
         if len(self.coeffs) != self.K + 1:
             raise ValueError(f"need exactly {self.K + 1} coefficients, got {len(self.coeffs)}")
 
+    def step(self) -> CoefficientSet:
+        """The set for the same K and length N+1, in K subtractions.
+
+        c_k is (-1)^(k-1) times the (k-1)-th forward difference of x^K at
+        N, so c_k(N+1) = c_k(N) - c_{k+1}(N), and c_{K+1} = (-1)^K K! does
+        not change: the method of differences.
+        """
+        c = self.coeffs
+        return CoefficientSet(self.K, self.N + 1, tuple(map(sub, c, c[1:])) + c[-1:])
+
+
+# The last set coefficients_closed returned for each K.
+_latest: dict[int, CoefficientSet] = {}
+
 
 def coefficients_closed(K: int, N: int) -> CoefficientSet:
     """Combination coefficients via the alternating binomial closed form.
@@ -48,9 +67,28 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     c_k = sum_{j=0}^{k-1} (-1)^j C(k-1, j) (N+j)^K for k = 1..K+1,
     which is (-1)^(k-1) times the (k-1)-th forward difference of (N+x)^K
     at x = 0: the leading entries of one difference table.
+
+    The last set returned for each K is kept. A call with the same N
+    returns it again; a call with N one larger returns its
+    :meth:`CoefficientSet.step`, K subtractions and no powers, so the
+    running pattern ``finalize(coefficients_closed(K, n))`` after every
+    push builds the difference table only once. Any other N builds the
+    table afresh. One set is kept per K ever asked for, and it holds K+1
+    integers of about K*log2(N) bits. The sets are frozen and a dict read
+    or write is atomic, so concurrent callers always get correct sets; at
+    worst a racing caller builds a set again.
     """
+    last = _latest.get(K)
+    if last is not None:
+        if last.N == N:
+            return last
+        if last.N == N - 1:
+            _latest[K] = last = last.step()
+            return last
     _check_domain(K, N)
-    return CoefficientSet(K, N, tuple(signed_differences([(N + j) ** K for j in range(K + 1)])))
+    differences = signed_differences([(N + j) ** K for j in range(K + 1)])
+    _latest[K] = last = CoefficientSet(K, N, tuple(differences))
+    return last
 
 
 def coefficients_stirling(K: int, N: int) -> CoefficientSet:

@@ -159,6 +159,15 @@ class TestMoment:
         assert run_cli(["moment", "-K", "0"], sample + "\n", monkeypatch) == 0
         assert json.loads(capsys.readouterr().out)["results"][0]["S"] == sample
 
+    def test_power_beyond_limit_refused_before_reading(self, monkeypatch, capsys):
+        class Unread(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        assert cli.main(["moment", "-K", "2", "-K", "2001"]) == 2
+        assert capsys.readouterr() == ("", "error: -K must be at most 2000\n")
+
     def test_deterministic_output(self, monkeypatch, capsys):
         run_cli(["moment", "-K", "2", "-K", "4"], "7\n-2\n9\n", monkeypatch)
         first = capsys.readouterr().out
@@ -293,6 +302,16 @@ class TestCoeffs:
         assert cli.main(["coeffs", "-K", "800", "-N", "1000000"]) == 0
         coefficients = json.loads(capsys.readouterr().out)["coefficients"]
         assert coefficients[0] == "1" + "0" * 4800  # (10**6) ** 800
+
+    def test_power_beyond_limit_refused(self, capsys):
+        assert cli.main(["coeffs", "-K", "2001", "-N", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: -K must be at most 2000\n")
+
+    def test_power_at_limit_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_K", 3)
+        assert cli.main(["coeffs", "-K", "3", "-N", "2"]) == 0
+        assert cli.main(["coeffs", "-K", "4", "-N", "2"]) == 2
+        assert capsys.readouterr().err == "error: -K must be at most 3\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -438,6 +457,57 @@ def test_closed_stdout_exits_141_without_traceback(argv, tmp_path):
         assert process.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
         stderr.seek(0)
         assert stderr.read() == b""
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    os.close(2)
+    os.open(os.devnull, os.O_RDONLY)  # takes the lowest free descriptor, 2
+
+
+@pytest.mark.parametrize("fd2", [_close_stderr, _read_only_stderr])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "-K", "2", "--input", "/nonexistent/samples"],  # our error line
+        ["moment"],  # argparse's usage error
+        ["coeffs", "-K", "2001", "-N", "1"],
+    ],
+)
+def test_unwritable_stderr_keeps_exit_code(argv, fd2):
+    # block-buffered stdio, as without PYTHONUNBUFFERED: the failed message
+    # stays buffered until the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    process = subprocess.run(
+        [sys.executable, "-m", "powsum", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        preexec_fn=fd2,
+        env=env,
+        timeout=60,
+    )
+    assert (process.returncode, process.stdout) == (cli.EXIT_USAGE, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moment", "-K", "2", "--input", "/nonexistent/samples"], ["coeffs", "-K", "2001", "-N", "1"]],
+)
+def test_stderr_closed_by_its_reader_keeps_exit_code(argv):
+    # the write fails with EPIPE, and the failed message stays buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "powsum", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    process.stderr.close()  # before the child writes anything
+    assert process.wait(timeout=60) == cli.EXIT_USAGE
 
 
 class TestUsage:

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from powsum import coeffs
 from powsum.coeffs import (
     CoefficientSet,
     IntPolynomial,
@@ -9,7 +12,7 @@ from powsum.coeffs import (
     coefficients_closed,
     coefficients_stirling,
 )
-from powsum.exactmath import binomial
+from powsum.exactmath import binomial, signed_differences
 from tests.helpers import TABLE_GOLDEN, solve_exact
 
 
@@ -59,6 +62,65 @@ class TestNumericPaths:
     def test_coefficient_set_length_enforced(self):
         with pytest.raises(ValueError):
             CoefficientSet(2, 3, (1, 2))
+
+
+class TestStepping:
+    @given(st.integers(0, 24), st.integers(1, 10**12), st.integers(0, 40))
+    def test_steps_match_stirling(self, K, start, steps):
+        coefficients = coefficients_stirling(K, start)
+        for N in range(start + 1, start + steps + 1):
+            coefficients = coefficients.step()
+            assert coefficients == coefficients_stirling(K, N)
+
+    def test_power_zero_stays_one(self):
+        assert CoefficientSet(0, 9, (1,)).step() == CoefficientSet(0, 10, (1,))
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 24])
+    def test_last_coefficient_stays_signed_factorial(self, K):
+        coefficients = coefficients_closed(K, 5)
+        for _ in range(3):
+            coefficients = coefficients.step()
+            assert coefficients.coeffs[K] == (-1) ** K * math.factorial(K)
+
+    @given(
+        st.integers(1, 10**6),
+        st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.one_of(
+                    st.just(0),  # the same N again
+                    st.just(1),  # the running step
+                    st.integers(-50, -1),  # back
+                    st.integers(2, 10**6),  # ahead
+                ),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_closed_form_calls_in_any_order_match_stirling(self, start, calls):
+        coeffs._latest.clear()  # each example starts from an empty memo
+        lengths: dict[int, int] = {}
+        for K, move in calls:
+            N = lengths[K] = max(1, lengths.get(K, start) + move)
+            assert coefficients_closed(K, N) == coefficients_stirling(K, N)
+
+    def test_running_pattern_builds_one_table(self, monkeypatch):
+        tables = []
+
+        def counting(values):
+            tables.append(len(values))
+            return signed_differences(values)
+
+        monkeypatch.setattr(coeffs, "signed_differences", counting)
+        coeffs._latest.clear()
+        for N in range(1, 101):
+            coefficients_closed(8, N)
+        coefficients_closed(8, 100)
+        assert tables == [9]
+        coefficients_closed(8, 50)
+        coefficients_closed(8, 52)
+        coefficients_closed(3, 53)
+        assert tables == [9, 9, 9, 4]
 
 
 class TestIntPolynomial:
