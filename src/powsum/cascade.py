@@ -60,7 +60,15 @@ class Cascade:
         """Current register values A_1..A_{K+1}, without mutating state."""
         return list(self.registers)
 
-    def _combine(self, coeffs: CoefficientSet) -> int:
+    def finalize(self, coeffs: CoefficientSet) -> int:
+        """Combine the registers into sum(n**P * v[n]) over the samples
+        pushed so far, for the power P = coeffs.K <= K.
+
+        Non-destructive: the cascade can keep streaming afterwards and be
+        finalized again, so running per-sample outputs are possible even
+        though the usual pattern is a single combination after the last
+        sample. ``coeffs`` must be for the current sample count.
+        """
         # The combination for power P reads only registers 1..P+1, so one
         # cascade serves every power up to its own.
         if coeffs.K > self.K:
@@ -75,23 +83,8 @@ class Cascade:
             total += w * r
         return total
 
-    def finalize(self, coeffs: CoefficientSet) -> int:
-        """Combine the registers into sum(n**P * v[n]) over the samples
-        pushed so far, for the power P = coeffs.K <= K.
-
-        Non-destructive: the cascade can keep streaming afterwards and be
-        finalized again, so running per-sample outputs are possible even
-        though the usual pattern is a single combination after the last
-        sample. ``coeffs`` must be for the current sample count.
-        """
-        return self._combine(coeffs)
-
     def moment_with_ops(self, power: int) -> tuple[int, OpCount]:
-        """Powered sum for one power <= K, plus the cost model's operation
-        count for that power over the samples pushed so far."""
-        if not 0 <= power <= self.K:
-            raise ValueError(f"power {power} not servable by a cascade of power {self.K}")
-        if self.samples_seen < 1:
-            raise ValueError("cannot finalize before any sample was pushed")
-        coeffs = coefficients_closed(power, self.samples_seen)
-        return self._combine(coeffs), predict_cascade(power, self.samples_seen)
+        """``finalize(coefficients_closed(power, N))`` and the cost model's
+        ``predict_cascade(power, N)``, for the N samples pushed so far."""
+        n = self.samples_seen
+        return self.finalize(coefficients_closed(power, n)), predict_cascade(power, n)

@@ -8,8 +8,10 @@ Subcommands:
 * ``complexity``  operation-count comparison table
 * ``selfcheck``   randomized internal consistency checks
 
-Powers are bounded before any work: ``-K`` of ``moment`` and ``coeffs``
-at most 2000, ``table --kmax`` at most 100.
+An out-of-range or malformed argument is a usage error naming the flag,
+refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
+0..2000, ``table --kmax`` 0..100, ``complexity --Ks`` 0..64, and ``-N``,
+``--expect-n`` and ``--Ns`` at least 1.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 141 stdout closed before all
@@ -31,9 +33,9 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, NoReturn, TextIO
 
-from .cascade import Cascade
+from .cascade import Cascade, predict_cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import complexity_table, write_csv
 from .oracle import MAX_CHAIN_TARGET
@@ -134,35 +136,52 @@ def _finite_float(text: str) -> float:
 
 
 def _decimal_int(text: str) -> int:
-    """int(text) for ASCII text without "_", the grammar of samples too."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII decimal integer: {text!r}")
-    return int(text)
+    """argparse type: int(text) for ASCII text without "_", the grammar of
+    samples too."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
 
 
-def _comma_separated_ints(text: str) -> list[int]:
-    try:
-        return [_decimal_int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type: an integer flag in [low, high], or at least low when
+    high is None. Anything else is a usage error naming the flag, raised
+    while the arguments are parsed, so before any input is read."""
+
+    def int_in(text: str) -> int:
+        value = _decimal_int(text)
+        if value < low or (high is not None and value > high):
+            expected = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {value}")
+        return value
+
+    return int_in
 
 
-def _nonnegative_int(text: str) -> int:
-    value = _decimal_int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]]:
+    """argparse type: comma-separated ``_int_in(low, high)`` items; empty ones are skipped."""
+    item = _int_in(low, high)
+
+    def int_list_in(text: str) -> list[int]:
+        return [item(part) for part in text.split(",") if part.strip()]
+
+    return int_list_in
 
 
-def _positive_int(text: str) -> int:
-    value = _decimal_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # drops a message stderr cannot take, as argparse does from Python 3.11
+        try:
+            super().error(message)
+        except OSError:
+            sys.exit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powsum",
         description="Streaming time-index powered weighted sums via cascaded accumulators.",
     )
@@ -172,19 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
         "moment",
         help="compute sum(n^K * v[n]) over a sample stream in a single pass",
     )
+    moment.set_defaults(run=_run_moment)
     moment.add_argument(
         "-K",
         "--power",
         dest="powers",
         action="append",
-        type=_nonnegative_int,
+        type=_int_in(0, MAX_K),
         required=True,
         help=f"power K, at most {MAX_K}; repeat the flag to get several moments from the same pass",
     )
     moment.add_argument("--input", help="sample file, one integer per line (default: stdin)")
     moment.add_argument(
         "--expect-n",
-        type=_positive_int,
+        type=_int_in(1),
         help="declared sample count: the actual count is verified at end of stream",
     )
     moment.add_argument(
@@ -197,18 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     moment.add_argument("--format", choices=("json", "plain"), default="json")
 
     coeffs_cmd = sub.add_parser("coeffs", help="combination coefficients for a concrete (K, N)")
+    coeffs_cmd.set_defaults(run=_run_coeffs)
     coeffs_cmd.add_argument(
-        "-K", "--power", type=_nonnegative_int, required=True, help=f"power K, at most {MAX_K}"
+        "-K", "--power", type=_int_in(0, MAX_K), required=True, help=f"power K, at most {MAX_K}"
     )
-    coeffs_cmd.add_argument("-N", "--length", type=_positive_int, required=True)
+    coeffs_cmd.add_argument("-N", "--length", type=_int_in(1), required=True)
     coeffs_cmd.add_argument("--format", choices=("json", "plain"), default="json")
 
     table_cmd = sub.add_parser(
         "table", help="coefficient polynomials in N for all powers up to --kmax"
     )
+    table_cmd.set_defaults(run=_run_table)
     table_cmd.add_argument(
         "--kmax",
-        type=_nonnegative_int,
+        type=_int_in(0, MAX_TABLE_KMAX),
         default=5,
         help=f"largest power to tabulate, at most {MAX_TABLE_KMAX} (beyond ~12 gets unwieldy)",
     )
@@ -217,18 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     complexity_cmd = sub.add_parser(
         "complexity", help="operation-count comparison of cascade vs runtime exponentiation"
     )
+    complexity_cmd.set_defaults(run=_run_complexity)
+    # the baseline's exhaustive addition-chain search stops at MAX_CHAIN_TARGET
     complexity_cmd.add_argument(
-        "--Ks", type=_comma_separated_ints, default=[2, 4, 7], help="powers, comma-separated"
+        "--Ks",
+        type=_int_list_in(0, MAX_CHAIN_TARGET),
+        default=[2, 4, 7],
+        help="powers, comma-separated",
     )
     complexity_cmd.add_argument(
         "--Ns",
-        type=_comma_separated_ints,
+        type=_int_list_in(1),
         default=[10, 100, 1000],
         help="sequence lengths, comma-separated",
     )
     complexity_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
 
     selfcheck_cmd = sub.add_parser("selfcheck", help="run randomized consistency checks")
+    selfcheck_cmd.set_defaults(run=_run_selfcheck)
     selfcheck_cmd.add_argument("--seed", type=_decimal_int, default=0)
     selfcheck_cmd.add_argument("--format", choices=("json",), default="json")
 
@@ -267,7 +295,8 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     results = []
     for power in args.powers:
-        value, ops = cascade.moment_with_ops(power)
+        value = cascade.finalize(coefficients_closed(power, n_samples))
+        ops = predict_cascade(power, n_samples)
         results.append({"K": power, "S": str(value), "ops": asdict(ops)})
 
     if args.format == "plain":
@@ -304,30 +333,25 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def render_table(kmax: int) -> str:
-    """Plain-text table of coefficient polynomials c_1..c_{K+1} for K = 0..kmax.
+def _run_table(args: argparse.Namespace) -> int:
+    """Print the coefficient polynomials c_1..c_{K+1} for K = 0..kmax.
 
     Cells use the canonical polynomial form (descending powers of N,
     explicit signs, no spaces), so they are directly comparable as strings.
     """
-    header = ["K"] + [f"c_{k}" for k in range(1, kmax + 2)]
+    header = ["K"] + [f"c_{k}" for k in range(1, args.kmax + 2)]
     body = []
-    for K in range(kmax + 1):
+    for K in range(args.kmax + 1):
         cells = [str(K)] + [str(poly) for poly in coefficient_polynomials(K)]
         cells += [""] * (len(header) - len(cells))
         body.append(cells)
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
-    lines = []
     for row in [header] + body:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    return EXIT_OK
 
 
 def _run_complexity(args: argparse.Namespace) -> int:
-    # the baseline's exhaustive addition-chain search stops at MAX_CHAIN_TARGET
-    if not all(0 <= K <= MAX_CHAIN_TARGET for K in args.Ks) or any(N < 1 for N in args.Ns):
-        _print_stderr(f"error: --Ks must be in [0, {MAX_CHAIN_TARGET}] and --Ns positive")
-        return EXIT_USAGE
     reports = complexity_table(args.Ks, args.Ns)
     if args.format == "json":
         print(json.dumps([asdict(report) for report in reports], indent=2))
@@ -336,15 +360,10 @@ def _run_complexity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_selfcheck(seed: int) -> int:
-    report = run_selfcheck(seed=seed)
+def _run_selfcheck(args: argparse.Namespace) -> int:
+    report = run_selfcheck(seed=args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["all_passed"] else EXIT_SELFCHECK_FAILED
-
-
-def _refuse_above(flag: str, limit: int) -> int:
-    _print_stderr(f"error: {flag} must be at most {limit}")
-    return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -352,31 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     # 4300-digit cap on int<->str conversion, for this process only.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    if args.subcommand == "moment":
-        if max(args.powers) > MAX_K:
-            return _refuse_above("-K", MAX_K)
-        return _run_moment(args)
-    if args.subcommand == "coeffs":
-        if args.power > MAX_K:
-            return _refuse_above("-K", MAX_K)
-        return _run_coeffs(args)
-    if args.subcommand == "table":
-        if args.kmax > MAX_TABLE_KMAX:
-            return _refuse_above("--kmax", MAX_TABLE_KMAX)
-        print(render_table(args.kmax))
-        return EXIT_OK
-    if args.subcommand == "complexity":
-        return _run_complexity(args)
-    if args.subcommand == "selfcheck":
-        return _run_selfcheck(args.seed)
-    raise AssertionError(f"unhandled subcommand {args.subcommand!r}")
+    return args.run(args)
 
 
 def _discard(stream: TextIO) -> None:
