@@ -19,7 +19,6 @@ from .costmodel import (
     ComplexityReport,
     OpCount,
     complexity_table,
-    measure_baseline,
     measure_cascade,
     predict_baseline,
     predict_cascade,
@@ -43,7 +42,6 @@ __all__ = [
     "coefficients_stirling",
     "complexity_table",
     "direct_sum",
-    "measure_baseline",
     "measure_cascade",
     "optimal_chain",
     "predict_baseline",

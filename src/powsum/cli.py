@@ -11,7 +11,8 @@ Subcommands:
 An out-of-range or malformed argument is a usage error naming the flag,
 refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
 0..2000, ``table --kmax`` 0..100, ``complexity --Ks`` 0..64, and ``-N``,
-``--expect-n`` and ``--Ns`` at least 1.
+``--expect-n`` and ``--Ns`` at least 1; a ``--Ks`` or ``--Ns`` list holds at
+least one integer.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 141 stdout closed before all
@@ -20,8 +21,10 @@ A closed stderr loses the messages, not the exit code.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
-ignored. All output is deterministic for identical inputs and flags
-(randomized checks take an explicit seed).
+ignored. Under ``--float``, a non-finite sample and a result that is not a
+finite double (naming K) are errors with exit 2. All output is
+deterministic for identical inputs and flags (randomized checks take an
+explicit seed).
 """
 
 from __future__ import annotations
@@ -162,11 +165,14 @@ def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
 
 
 def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]]:
-    """argparse type: comma-separated ``_int_in(low, high)`` items; empty ones are skipped."""
+    """argparse type: one or more comma-separated ``_int_in(low, high)`` items."""
     item = _int_in(low, high)
 
     def int_list_in(text: str) -> list[int]:
-        return [item(part) for part in text.split(",") if part.strip()]
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        return values
 
     return int_list_in
 
@@ -295,7 +301,13 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     results = []
     for power in args.powers:
-        value = cascade.finalize(coefficients_closed(power, n_samples))
+        try:
+            value = cascade.finalize(coefficients_closed(power, n_samples))
+        except OverflowError:  # under --float, a coefficient beyond the double range
+            value = math.nan
+        if not abs(value) < math.inf:  # nan or inf; an int of any size is below inf
+            _print_stderr(f"error: the result for K={power} is not a finite double under --float")
+            return EXIT_USAGE
         ops = predict_cascade(power, n_samples)
         results.append({"K": power, "S": str(value), "ops": asdict(ops)})
 

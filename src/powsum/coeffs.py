@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import sub
 
-from .exactmath import binomial, signed_differences, stirling2
+from .exactmath import signed_differences, stirling2
 
 
 def _check_domain(K: int, N: int) -> None:
@@ -76,8 +76,11 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     table afresh. One set is kept per K ever asked for, and it holds K+1
     integers of about K*log2(N) bits. The sets are frozen and a dict read
     or write is atomic, so concurrent callers always get correct sets; at
-    worst a racing caller builds a set again.
+    worst a racing caller builds a set again. A K or N that is not an int
+    raises ``TypeError``, so no kept set is built or stepped from a float.
     """
+    if not (isinstance(K, int) and isinstance(N, int)):
+        raise TypeError(f"K and N must be integers, got {K!r} and {N!r}")
     last = _latest.get(K)
     if last is not None:
         if last.N == N:
@@ -106,7 +109,7 @@ def coefficients_stirling(K: int, N: int) -> CoefficientSet:
         sign = -1 if (k - 1) % 2 else 1
         total = 0
         for m in range(k - 1, K + 1):
-            total += binomial(K, m) * N ** (K - m) * stirling2(m, k - 1)
+            total += math.comb(K, m) * N ** (K - m) * stirling2(m, k - 1)
         cs.append(sign * math.factorial(k - 1) * total)
     return CoefficientSet(K, N, tuple(cs))
 
@@ -174,7 +177,7 @@ def coefficient_polynomials(K: int) -> list[IntPolynomial]:
         raise ValueError("power K must be non-negative")
     # columns[i][k-1] is the coefficient of N^i in c_k
     columns = [
-        [binomial(K, i) * d for d in signed_differences([j ** (K - i) for j in range(K + 1)])]
+        [math.comb(K, i) * d for d in signed_differences([j ** (K - i) for j in range(K + 1)])]
         for i in range(K + 1)
     ]
     return [IntPolynomial(row) for row in zip(*columns)]

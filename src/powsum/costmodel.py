@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence
 
 from .cascade import Cascade, predict_cascade
 from .coeffs import _check_domain, coefficients_closed
-from .oracle import baseline_sum, optimal_chain
+from .oracle import optimal_chain
 from .ops import Counted, OpCount
 
 
@@ -41,13 +41,6 @@ def predict_baseline(K: int, N: int) -> OpCount:
     return OpCount(general_mults=general, constant_mults=0, additions=N - 1)
 
 
-def predict_baseline_chain_mults(K: int, N: int) -> int:
-    """Chain-only baseline multiplication count N * chain_length(K),
-    excluding the per-sample multiplication by v[n]."""
-    _check_domain(K, N)
-    return N * len(optimal_chain(K)) if K >= 1 else 0
-
-
 def measure_cascade(v: Sequence[int], K: int) -> OpCount:
     """Run the real cascade over ``v`` as counted operands and return the
     operations it performed (pushes plus one final combination). Empty
@@ -61,13 +54,6 @@ def measure_cascade(v: Sequence[int], K: int) -> OpCount:
     return ops
 
 
-def measure_baseline(v: Sequence[int], K: int) -> OpCount:
-    """Run the exponentiation baseline over ``v`` and return the
-    operations it performed."""
-    _, ops = baseline_sum(v, K)
-    return ops
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Cost comparison for one (K, N) point."""
@@ -76,7 +62,7 @@ class ComplexityReport:
     N: int
     cascade: OpCount
     baseline: OpCount
-    baseline_chain_only_mults: int
+    baseline_chain_only_mults: int  # N * chain_length(K), no products with v[n]; 0 at K = 0
 
 
 def complexity_table(Ks: Iterable[int], Ns: Iterable[int]) -> list[ComplexityReport]:
@@ -89,7 +75,7 @@ def complexity_table(Ks: Iterable[int], Ns: Iterable[int]) -> list[ComplexityRep
             N=N,
             cascade=predict_cascade(K, N),
             baseline=predict_baseline(K, N),
-            baseline_chain_only_mults=predict_baseline_chain_mults(K, N),
+            baseline_chain_only_mults=N * len(optimal_chain(K)) if K >= 1 else 0,
         )
         for K in Ks
         for N in Ns

@@ -14,16 +14,11 @@ import math
 from typing import Sequence
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for non-negative arguments.
-
-    Returns 0 when k > n; that zero-extension is what makes boundary
-    terms of the accumulator weights and the Stirling sum vanish
-    silently instead of erroring.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    return math.comb(n, k)
+# Binomial coefficient C(n, k), which is 0 for k > n: that zero is why
+# boundary terms of the accumulator weights and of the Stirling sum vanish.
+# The package calls math.comb; bench/traced.py and the acceptance suite
+# import this name.
+binomial = math.comb
 
 
 def rising_factorial(x: int, j: int) -> int:
@@ -51,7 +46,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 requires non-negative arguments")
     total = 0
     for i in range(k + 1):
-        term = binomial(k, i) * (k - i) ** n
+        term = math.comb(k, i) * (k - i) ** n
         total = total - term if i % 2 else total + term
     quotient, remainder = divmod(total, math.factorial(k))
     # the alternating sum is always an exact multiple of k!

@@ -9,6 +9,7 @@ counterexample. Given the same seed, the run is fully deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Iterator
 
@@ -16,7 +17,6 @@ from .cascade import Cascade
 from .coeffs import coefficients_closed, coefficients_stirling
 from .exactmath import (
     alternating_power_sum,
-    binomial,
     rising_factorial,
     stirling2,
     stirling_power_sum,
@@ -79,7 +79,7 @@ def _impulse_response() -> Cases:
                 cascade = Cascade(K)
                 for sample in impulse:
                     cascade.push(sample)
-                expected = [binomial(N - 1 - m + k - 1, k - 1) for k in range(1, K + 2)]
+                expected = [math.comb(N - 1 - m + k - 1, k - 1) for k in range(1, K + 2)]
                 if cascade.snapshot() == expected:
                     yield None
                 else:

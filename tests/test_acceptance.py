@@ -18,10 +18,9 @@ from powsum.cli import main as cli_main
 from powsum.cli import push_stream
 from powsum.coeffs import coefficients_closed, coefficients_stirling
 from powsum.costmodel import (
-    measure_baseline,
+    complexity_table,
     measure_cascade,
     predict_baseline,
-    predict_baseline_chain_mults,
     predict_cascade,
 )
 from powsum.exactmath import (
@@ -31,7 +30,7 @@ from powsum.exactmath import (
     stirling2,
     stirling_power_sum,
 )
-from powsum.oracle import direct_sum, optimal_chain
+from powsum.oracle import baseline_sum, direct_sum, optimal_chain
 from tests.helpers import TABLE_GOLDEN, solve_exact
 
 SAMPLE_MAGNITUDE = 10**6
@@ -136,16 +135,16 @@ def test_criterion_5_complexity_reproduction():
             for N in range(1, 201):
                 v = [rng.randint(-999, 999) for _ in range(N)]
                 assert measure_cascade(v, K) == predict_cascade(K, N), (K, N)
-                assert measure_baseline(v, K) == predict_baseline(K, N), (K, N)
+                assert baseline_sum(v, K)[1] == predict_baseline(K, N), (K, N)
         # chain-only baseline multiplications, anchored at the length-4 chain for n^7
         assert len(optimal_chain(7)) == 4
         for K in range(1, 9):
             chain_len = len(optimal_chain(K))
             for N in (1, 10, 1000):
-                assert predict_baseline_chain_mults(K, N) == chain_len * N
+                assert complexity_table([K], [N])[0].baseline_chain_only_mults == chain_len * N
         # the headline separation: 8 constant mults vs 4000 chain mults at K=7, N=1000
         cascade_mults = predict_cascade(7, 1000).constant_mults
-        chain_mults = predict_baseline_chain_mults(7, 1000)
+        chain_mults = complexity_table([7], [1000])[0].baseline_chain_only_mults
         assert cascade_mults == 8
         assert chain_mults == 4000
         assert chain_mults == 500 * cascade_mults

@@ -1,13 +1,15 @@
 import argparse
+import contextlib
 import errno
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powsum import cli
@@ -125,6 +127,23 @@ class TestMoment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2" in captured.err and literal in captured.err
+
+    @pytest.mark.parametrize(
+        "power, text",
+        [
+            ("150", "".join(f"{n}\n" for n in range(1, 201))),
+            ("1", "1e308\n1e308\n"),
+        ],
+        ids=["coefficient-overflows", "register-overflows"],
+    )
+    def test_float_mode_refuses_non_finite_result(self, power, text, monkeypatch, capsys):
+        code = run_cli(["moment", "--float", "-K", power], text, monkeypatch)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: the result for K={power} is not a finite double under --float"
+        )
 
     def test_float_mode_rejects_digit_separators(self, monkeypatch, capsys):
         code = run_cli(["moment", "-K", "1", "--float"], "0.5\n1_0.5\n", monkeypatch)
@@ -311,6 +330,20 @@ BOUNDS = [
         ["complexity", "--Ns", "1_0"],
         refusal("complexity", "--Ns", "not an ASCII decimal integer: '1_0'"),
         id="Ns-malformed",
+    ),
+    pytest.param(
+        {},
+        None,
+        ["complexity", "--Ks", ","],
+        refusal("complexity", "--Ks", "expected at least one integer, got ','"),
+        id="Ks-empty",
+    ),
+    pytest.param(
+        {},
+        None,
+        ["complexity", "--Ns", ""],
+        refusal("complexity", "--Ns", "expected at least one integer, got ''"),
+        id="Ns-empty",
     ),
 ]
 
@@ -635,3 +668,98 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+# Flag values the fuzz test draws besides the valid ones: out of range for
+# every flag that takes them, or not ASCII decimal integers.
+BAD_VALUES = st.sampled_from(
+    ["-1", "2001", "9" * 20, "", ",", "x", "1_0", "\uff15", "1.5", "nan", "2;3"]
+)
+
+
+def int_list(low, high):
+    items = st.lists(st.integers(low, high), max_size=4)
+    return items.map(lambda values: ",".join(map(str, values)))
+
+
+# Per subcommand, the required flags and the optional ones, each with its
+# valid values (None for a switch). Valid values stay small, so every
+# example is quick.
+FLAGS = {
+    "moment": (
+        [("-K", st.integers(0, 40).map(str))],
+        [
+            ("-K", st.integers(0, 40).map(str)),
+            ("--expect-n", st.integers(1, 12).map(str)),
+            ("--float", None),
+            ("--format", st.sampled_from(["json", "plain"])),
+            ("--input", st.just("/nonexistent/samples")),
+        ],
+    ),
+    "coeffs": (
+        [("-K", st.integers(0, 40).map(str)), ("-N", st.integers(1, 10**6).map(str))],
+        [("--format", st.sampled_from(["json", "plain"]))],
+    ),
+    "table": ([], [("--kmax", st.integers(0, 6).map(str)), ("--format", st.just("plain"))]),
+    "complexity": (
+        [],
+        [
+            ("--Ks", int_list(0, 64)),
+            ("--Ns", int_list(1, 10**6)),
+            ("--format", st.sampled_from(["csv", "json"])),
+        ],
+    ),
+    "selfcheck": ([], [("--seed", st.integers(-5, 5).map(str)), ("--format", st.just("json"))]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    if draw(st.integers(0, 9)) == 0:
+        # no subcommand, an unknown one, or a bare flag
+        return draw(st.lists(st.sampled_from(["--help", "frobnicate", "-K", "2"]), max_size=2))
+    subcommand = draw(st.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[subcommand]
+    flags = [flag for flag in required if draw(st.integers(0, 9))]  # each dropped 1 in 10
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    argv = [subcommand]
+    for flag, valid in flags:
+        argv.append(flag)
+        if valid is not None:
+            argv.append(draw(BAD_VALUES if draw(st.integers(0, 4)) == 0 else valid))
+    return argv
+
+
+NON_SAMPLES = st.sampled_from([b"", b"  ", b"# comment", b" #1"])
+JUNK = st.sampled_from(
+    [b"abc", b"1_0", b"\xef\xbc\x95", b"\xff", b"nan", b"1e400", b"0x10", b"1 2"]
+)
+
+
+@st.composite
+def stdin_bytes(draw):
+    """Samples among blank and '#' lines: integers, with finite decimal
+    floats (the --float grammar) mixed in now and then, and now and then
+    one junk line."""
+    samples = st.integers(-(10**30), 10**30).map(lambda n: b"%d" % n)
+    if draw(st.integers(0, 3)) == 0:
+        floats = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode())
+        samples = st.one_of(samples, floats, st.sampled_from([b"1e308", b"-1e308"]))
+    lines = draw(st.lists(st.one_of(samples, NON_SAMPLES), max_size=12))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(JUNK))
+    return b"\n".join(lines)
+
+
+@example(["moment", "--float", "-K", "150"], b"".join(b"%d\n" % n for n in range(1, 201)))
+@example(["moment", "--float", "-K", "1"], b"1e308\n1e308\n")
+@settings(max_examples=150, deadline=None)
+@given(cli_argv(), stdin_bytes())
+def test_any_invocation_exits_with_a_documented_code(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == ""

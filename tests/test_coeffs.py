@@ -122,6 +122,15 @@ class TestStepping:
         coefficients_closed(3, 53)
         assert tables == [9, 9, 9, 4]
 
+    @pytest.mark.parametrize("K, N", [(8, 5.0), (8.0, 21)])
+    def test_non_integer_arguments_leave_the_memo_exact(self, K, N):
+        coefficients_closed(8, 20)  # the memo holds a set for K = 8
+        with pytest.raises(TypeError):
+            coefficients_closed(K, N)
+        after = coefficients_closed(8, 6)
+        assert after == coefficients_stirling(8, 6)
+        assert all(type(c) is int for c in after.coeffs)  # floats would compare equal
+
 
 class TestIntPolynomial:
     def test_trailing_zeros_stripped_and_degree(self):

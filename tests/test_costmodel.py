@@ -7,13 +7,12 @@ from powsum.costmodel import (
     CSV_HEADER,
     OpCount,
     complexity_table,
-    measure_baseline,
     measure_cascade,
     predict_baseline,
-    predict_baseline_chain_mults,
     predict_cascade,
     write_csv,
 )
+from powsum.oracle import baseline_sum
 
 
 class TestOpCount:
@@ -44,9 +43,9 @@ class TestPredictions:
         assert ops.additions == additions
 
     def test_baseline_chain_only(self):
-        assert predict_baseline_chain_mults(7, 100) == 400
-        assert predict_baseline_chain_mults(1, 50) == 0
-        assert predict_baseline_chain_mults(0, 10) == 0
+        assert complexity_table([7], [100])[0].baseline_chain_only_mults == 400
+        assert complexity_table([1], [50])[0].baseline_chain_only_mults == 0
+        assert complexity_table([0], [10])[0].baseline_chain_only_mults == 0
 
     @pytest.mark.parametrize("fn", [predict_cascade, predict_baseline])
     def test_domain_errors(self, fn):
@@ -69,7 +68,7 @@ class TestMeasurement:
         for K in range(7):
             for N in (1, 2, 3, 10, 40):
                 v = [rng.randint(-999, 999) for _ in range(N)]
-                assert measure_baseline(v, K) == predict_baseline(K, N), (K, N)
+                assert baseline_sum(v, K)[1] == predict_baseline(K, N), (K, N)
 
     def test_counts_do_not_depend_on_values(self):
         zeros = measure_cascade([0] * 12, 3)
@@ -78,11 +77,11 @@ class TestMeasurement:
 
     def test_empty_input_measures_zero(self):
         assert measure_cascade([], 4) == OpCount()
-        assert measure_baseline([], 4) == OpCount()
+        assert baseline_sum([], 4)[1] == OpCount()
 
     def test_three_sample_counts(self):
         assert measure_cascade([3, 1, 4], 2).additions == 8
-        baseline = measure_baseline([3, 1, 4], 2)
+        baseline = baseline_sum([3, 1, 4], 2)[1]
         assert baseline.general_mults == 6
         assert baseline.additions == 2
 

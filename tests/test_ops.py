@@ -104,7 +104,6 @@ def test_public_surface():
         "coefficients_stirling",
         "complexity_table",
         "direct_sum",
-        "measure_baseline",
         "measure_cascade",
         "optimal_chain",
         "predict_baseline",
