@@ -14,6 +14,9 @@ with a push. Distinct cascades are fully independent.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 from .coeffs import CoefficientSet, _check_domain, coefficients_closed
 from .ops import OpCount
 
@@ -69,22 +72,30 @@ class Cascade:
         though the usual pattern is a single combination after the last
         sample. ``coeffs`` must be for the current sample count.
         """
-        # The combination for power P reads only registers 1..P+1, so one
-        # cascade serves every power up to its own.
         if coeffs.K > self.K:
-            raise ValueError(f"coefficients are for power {coeffs.K}, cascade has power {self.K}")
+            raise self._power_error(coeffs.K)
         if coeffs.N != self.samples_seen:
             raise ValueError(
                 f"coefficients are for N={coeffs.N}, cascade has seen {self.samples_seen} samples"
             )
-        weights, registers = coeffs.coeffs, self.registers
-        total = weights[0] * registers[0]
-        for w, r in zip(weights[1:], registers[1:]):
-            total += w * r
-        return total
+        # The combination for power P reads only registers 1..P+1 (map stops
+        # at the P+1 weights), so one cascade serves every power up to its
+        # own. The products are added left to right, as a loop adds them;
+        # sum() compensates float additions from Python 3.12 on, which would
+        # change --float results.
+        return reduce(add, map(mul, coeffs.coeffs, self.registers))
+
+    def _power_error(self, power: int) -> ValueError:
+        return ValueError(f"coefficients are for power {power}, cascade has power {self.K}")
 
     def moment_with_ops(self, power: int) -> tuple[int, OpCount]:
         """``finalize(coefficients_closed(power, N))`` and the cost model's
-        ``predict_cascade(power, N)``, for the N samples pushed so far."""
+        ``predict_cascade(power, N)``, for the N samples pushed so far.
+
+        A power above the cascade's raises ``ValueError`` before any
+        coefficients are built; ``coefficients_closed`` refuses a negative
+        one before it builds anything."""
+        if power > self.K:
+            raise self._power_error(power)
         n = self.samples_seen
         return self.finalize(coefficients_closed(power, n)), predict_cascade(power, n)

@@ -7,17 +7,21 @@ powers (N+j)^K: K+1 powers and K(K+1)/2 subtractions, with no binomial
 coefficients. For the running pattern, one call per sample with N rising
 by one, the closed form keeps the last set returned for each K and steps
 it to N+1 with K subtractions instead (:meth:`CoefficientSet.step`). The
-sets are frozen, so concurrent callers always get correct sets. A third,
-symbolic route produces the same coefficients as integer polynomials in the
-sequence length N. All three agree everywhere; the test suite never lets
+sets are immutable named tuples: every caller of the running pattern
+shares the kept set, so no caller can change it under another, and
+concurrent callers always get correct sets. A third, symbolic route
+produces the same coefficients as integer polynomials in the sequence
+length N. All three agree everywhere; the test suite never lets
 them drift apart.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import sub
+from typing import Any, Iterable
 
 from .exactmath import signed_differences, stirling2
 
@@ -29,22 +33,32 @@ def _check_domain(K: int, N: int) -> None:
         raise ValueError("sequence length N must be positive")
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+# Builds a set without the constructor's checks, for sets valid by construction.
+_new_set = tuple.__new__
+
+
+class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
     """The K+1 combination coefficients for a concrete power K and length N.
 
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
-    zero-based, so ``coeffs[i]`` holds c_{i+1}.
+    zero-based, so ``coeffs[i]`` holds c_{i+1}. An immutable named tuple
+    ``(K, N, coeffs)``: the constructor checks its arguments, and
+    :meth:`step` builds the next set directly, without checking again
+    what the step guarantees.
     """
 
-    K: int
-    N: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_domain(self.K, self.N)
-        if len(self.coeffs) != self.K + 1:
-            raise ValueError(f"need exactly {self.K + 1} coefficients, got {len(self.coeffs)}")
+    def __new__(cls, K: int, N: int, coeffs: tuple[int, ...]) -> CoefficientSet:
+        _check_domain(K, N)
+        if len(coeffs) != K + 1:
+            raise ValueError(f"need exactly {K + 1} coefficients, got {len(coeffs)}")
+        return _new_set(cls, (K, N, coeffs))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> CoefficientSet:
+        # namedtuple's own builder, which _replace calls too, skips __new__.
+        return cls(*iterable)
 
     def step(self) -> CoefficientSet:
         """The set for the same K and length N+1, in K subtractions.
@@ -53,8 +67,8 @@ class CoefficientSet:
         N, so c_k(N+1) = c_k(N) - c_{k+1}(N), and c_{K+1} = (-1)^K K! does
         not change: the method of differences.
         """
-        c = self.coeffs
-        return CoefficientSet(self.K, self.N + 1, tuple(map(sub, c, c[1:])) + c[-1:])
+        K, N, c = self
+        return _new_set(CoefficientSet, (K, N + 1, (*map(sub, c, c[1:]), c[-1])))
 
 
 # The last set coefficients_closed returned for each K.
@@ -74,9 +88,9 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     running pattern ``finalize(coefficients_closed(K, n))`` after every
     push builds the difference table only once. Any other N builds the
     table afresh. One set is kept per K ever asked for, and it holds K+1
-    integers of about K*log2(N) bits. The sets are frozen and a dict read
-    or write is atomic, so concurrent callers always get correct sets; at
-    worst a racing caller builds a set again. A K or N that is not an int
+    integers of about K*log2(N) bits. The sets are immutable and a dict
+    read or write is atomic, so concurrent callers always get correct
+    sets; at worst a racing caller builds a set again. A K or N that is not an int
     raises ``TypeError``, so no kept set is built or stepped from a float.
     """
     if not (isinstance(K, int) and isinstance(N, int)):

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powsum import coeffs as coeffs_module
 from powsum.cascade import Cascade
 from powsum.coeffs import coefficients_closed
 from powsum.exactmath import binomial
@@ -192,6 +194,19 @@ class TestFinalizeMany:
         with pytest.raises(ValueError):
             cascade.moment_with_ops(2)
 
+    @pytest.mark.parametrize("power", [2, 1500, -1])
+    def test_moment_with_ops_refuses_before_building_coefficients(self, power):
+        cascade = run_cascade(1, [1])
+        coeffs_module._latest.clear()
+        with pytest.raises(ValueError):
+            cascade.moment_with_ops(power)
+        assert list(coeffs_module._latest) == []  # no set was built and kept
+
+    def test_moment_with_ops_refusal_names_both_powers(self):
+        message = "^coefficients are for power 3, cascade has power 1$"
+        with pytest.raises(ValueError, match=message):
+            run_cascade(1, [1]).moment_with_ops(3)
+
     def test_agrees_with_direct_sums(self):
         rng = random.Random(23)
         v = [rng.randint(-1000, 1000) for _ in range(17)]
@@ -216,6 +231,15 @@ class TestOperationCounting:
         cascade.finalize(coefficients_closed(3, 2))
         assert ops.constant_mults == 4
         assert ops.additions == (3 + 1) * 2 - 1
+
+    def test_finalize_tally_for_every_lower_power(self):
+        ops = OpCount()
+        cascade = run_cascade(5, [Counted(sample, ops) for sample in (3, -1, 4, 1, -5, 9, 2)])
+        for P in range(6):
+            before = (ops.general_mults, ops.constant_mults, ops.additions)
+            cascade.finalize(coefficients_closed(P, 7))
+            after = (ops.general_mults, ops.constant_mults, ops.additions)
+            assert [b - a for a, b in zip(before, after)] == [0, P + 1, P]
 
     @given(v=st.lists(samples, min_size=1, max_size=24), K=st.integers(0, 6), P=st.integers(0, 6))
     def test_counted_samples_finalize_like_ints(self, v, K, P):
@@ -251,6 +275,19 @@ class TestFloatCascade:
         value, _ = approx.moment_with_ops(3)
         assert isinstance(value, float)
         assert value == float(direct_sum(v, 3))
+
+    def test_finalize_adds_left_to_right(self):
+        # Exact (and compensated) summation of these four products gives
+        # -32.0, plain left-to-right addition 0.0. The combination must add
+        # left to right; sum() compensates from Python 3.12 on.
+        cascade = run_cascade(3, [1e16, 1.0, 3.0])
+        weights = coefficients_closed(3, 3).coeffs
+        products = [w * r for w, r in zip(weights, cascade.registers)]
+        left_to_right = products[0]
+        for product in products[1:]:
+            left_to_right += product
+        assert left_to_right != math.fsum(products)
+        assert cascade.finalize(coefficients_closed(3, 3)) == left_to_right
 
     def test_accepts_fractional_samples(self):
         cascade = run_cascade(1, [0.5, 0.25, -1.5])

@@ -64,10 +64,53 @@ class TestNumericPaths:
             CoefficientSet(2, 3, (1, 2))
 
 
+class TestCoefficientSetContract:
+    """Every caller of the running pattern shares the set coefficients_closed
+    keeps, so a set must be a checked, immutable value."""
+
+    @pytest.mark.parametrize("K, N, values", [(-1, 3, ()), (2, 0, (1, 1, 1))])
+    def test_constructor_checks_domain(self, K, N, values):
+        with pytest.raises(ValueError):
+            CoefficientSet(K, N, values)
+
+    @pytest.mark.parametrize("changes", [{"K": -1}, {"N": 0}, {"coeffs": (9, -7)}])
+    def test_namedtuple_builders_check_like_the_constructor(self, changes):
+        fields = {"K": 2, "N": 3, "coeffs": (9, -7, 2), **changes}
+        with pytest.raises(ValueError):
+            coefficients_closed(2, 3)._replace(**changes)
+        with pytest.raises(ValueError):
+            CoefficientSet._make(fields.values())
+
+    @pytest.mark.parametrize("field", ["K", "N", "coeffs"])
+    def test_fields_cannot_be_assigned(self, field):
+        kept = coefficients_closed(2, 3)
+        with pytest.raises(AttributeError):
+            setattr(kept, field, 5)
+        assert coefficients_closed(2, 3) == CoefficientSet(2, 3, (9, -7, 2))
+
+    def test_equal_sets_hash_equal(self):
+        stepped = coefficients_stirling(4, 6).step()
+        fresh = coefficients_stirling(4, 7)
+        assert stepped == fresh
+        assert hash(stepped) == hash(fresh)
+        assert len({stepped, fresh, CoefficientSet(4, 7, fresh.coeffs)}) == 1
+        assert CoefficientSet(4, 8, fresh.coeffs) != fresh
+
+    def test_repr(self):
+        text = "CoefficientSet(K=2, N=3, coeffs=(9, -7, 2))"
+        assert repr(CoefficientSet(2, 3, (9, -7, 2))) == text
+        assert repr(coefficients_closed(0, 4).step()) == "CoefficientSet(K=0, N=5, coeffs=(1,))"
+
+
 class TestStepping:
-    @given(st.integers(0, 24), st.integers(1, 10**12), st.integers(0, 40))
-    def test_steps_match_stirling(self, K, start, steps):
-        coefficients = coefficients_stirling(K, start)
+    @given(
+        st.sampled_from([coefficients_closed, coefficients_stirling]),
+        st.integers(0, 24),
+        st.integers(1, 10**12),
+        st.integers(0, 50),
+    )
+    def test_steps_match_stirling(self, route, K, start, steps):
+        coefficients = route(K, start)
         for N in range(start + 1, start + steps + 1):
             coefficients = coefficients.step()
             assert coefficients == coefficients_stirling(K, N)
