@@ -7,7 +7,7 @@ multiplication inside the streaming loop, and exact integer arithmetic
 end to end.
 """
 
-from .cascade import Cascade
+from .cascade import Cascade, measure_cascade
 from .coeffs import (
     CoefficientSet,
     IntPolynomial,
@@ -16,14 +16,17 @@ from .coeffs import (
     coefficients_stirling,
 )
 from .costmodel import (
+    AdditionChain,
     ComplexityReport,
     OpCount,
+    baseline_sum,
+    chain_power,
     complexity_table,
-    measure_cascade,
+    optimal_chain,
     predict_baseline,
     predict_cascade,
 )
-from .oracle import AdditionChain, baseline_sum, chain_power, direct_sum, optimal_chain
+from .oracle import direct_sum
 from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"

@@ -16,16 +16,10 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add, mul
+from typing import Sequence
 
-from .coeffs import CoefficientSet, _check_domain, coefficients_closed
-from .ops import OpCount
-
-
-def predict_cascade(K: int, N: int) -> OpCount:
-    """Cost of the streaming cascade: K+1 constant multiplications (one per
-    register, independent of N) and (K+1)N - 1 additions."""
-    _check_domain(K, N)
-    return OpCount(general_mults=0, constant_mults=K + 1, additions=(K + 1) * N - 1)
+from .coeffs import CoefficientSet, coefficients_closed
+from .costmodel import Counted, OpCount, predict_cascade
 
 
 class Cascade:
@@ -34,7 +28,7 @@ class Cascade:
     ``registers[k-1]`` is the k-th accumulator output for the samples
     pushed so far; ``registers[0]`` is the plain running sum. Samples are
     normally ints, which keeps every result exact. Floats may be pushed
-    too, with approximate results, and :class:`~powsum.ops.Counted`
+    too, with approximate results, and :class:`~powsum.costmodel.Counted`
     samples count the operations the cascade performs on them.
     """
 
@@ -99,3 +93,16 @@ class Cascade:
             raise self._power_error(power)
         n = self.samples_seen
         return self.finalize(coefficients_closed(power, n)), predict_cascade(power, n)
+
+
+def measure_cascade(v: Sequence[int], K: int) -> OpCount:
+    """Run the real cascade over ``v`` as counted operands and return the
+    operations it performed (pushes plus one final combination). Empty
+    input measures as all zeros."""
+    ops = OpCount()
+    cascade = Cascade(K)
+    for sample in v:
+        cascade.push(Counted(sample, ops))
+    if cascade.samples_seen:
+        cascade.finalize(coefficients_closed(K, cascade.samples_seen))
+    return ops

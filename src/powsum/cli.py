@@ -15,9 +15,11 @@ refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
 least one integer.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
-3 empty input where samples were required, 141 stdout closed before all
-output was written (128 + SIGPIPE, as a shell reports for ``seq | head``).
-A closed stderr loses the messages, not the exit code.
+3 empty input where samples were required, 130 interrupted by SIGINT
+(128 + SIGINT, as a shell reports for Ctrl-C), 141 stdout closed before
+all output was written (128 + SIGPIPE, as a shell reports for
+``seq | head``). Both signal exits print nothing on stderr. A closed
+stderr loses the messages, not the exit code.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -38,16 +40,16 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Iterable, NoReturn, TextIO
 
-from .cascade import Cascade, predict_cascade
+from .cascade import Cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
-from .costmodel import complexity_table, write_csv
-from .oracle import MAX_CHAIN_TARGET
+from .costmodel import MAX_CHAIN_TARGET, complexity_table, predict_cascade, write_csv
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EMPTY_INPUT = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # table's cost grows steeply with --kmax: 64 takes 0.56 s and prints 5.5 MB,
@@ -413,6 +415,8 @@ def entrypoint() -> None:
     except BrokenPipeError:
         _discard(sys.stdout)
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        code = EXIT_INTERRUPTED
     try:
         sys.stderr.flush()
     except OSError:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Any, Iterable
 
-from .exactmath import signed_differences, stirling2
+from .exactmath import signed_differences, stirling_power_sum
 
 
 def _check_domain(K: int, N: int) -> None:
@@ -111,21 +111,20 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
 def coefficients_stirling(K: int, N: int) -> CoefficientSet:
     """Combination coefficients via Stirling numbers of the second kind.
 
-    c_k = (-1)^(k-1) (k-1)! sum_{m=k-1}^{K} C(K, m) N^(K-m) S(m, k-1).
+    c_k = (-1)^(k-1) (k-1)! sum_{m=k-1}^{K} C(K, m) N^(K-m) S(m, k-1),
+    summed as sum_m C(K, m) N^(K-m) stirling_power_sum(m, k); the terms
+    below m = k-1 vanish with S(m, k-1).
 
     Returns the same values as :func:`coefficients_closed` by an entirely
     different computation; keeping both paths alive is the strongest
     cross-check on the whole coefficient derivation.
     """
     _check_domain(K, N)
-    cs = []
-    for k in range(1, K + 2):
-        sign = -1 if (k - 1) % 2 else 1
-        total = 0
-        for m in range(k - 1, K + 1):
-            total += math.comb(K, m) * N ** (K - m) * stirling2(m, k - 1)
-        cs.append(sign * math.factorial(k - 1) * total)
-    return CoefficientSet(K, N, tuple(cs))
+    cs = tuple(
+        sum(math.comb(K, m) * N ** (K - m) * stirling_power_sum(m, k) for m in range(k - 1, K + 1))
+        for k in range(1, K + 2)
+    )
+    return CoefficientSet(K, N, cs)
 
 
 @dataclass(frozen=True)

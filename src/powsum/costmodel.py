@@ -1,14 +1,19 @@
-"""Operation accounting: closed-form cost predictions, measurements of
-real runs over counted operands, and the report table comparing the
-streaming cascade against runtime exponentiation.
+"""The operation-count model: the tally, the counted operand that fills
+it, the closed-form predictions, the runtime-exponentiation baseline the
+streaming cascade is costed against, and the report table comparing the
+two. ``measure_cascade`` lives beside the cascade it drives, in
+:mod:`powsum.cascade`.
 
-``predict_cascade`` is defined beside :class:`~powsum.cascade.Cascade`,
-which reports it per moment, and is re-exported here. Counting
-conventions (the rules of :class:`~powsum.ops.Counted`):
+Counting is a property of the operands, not of the algorithm: run the
+real code over :class:`Counted` values and the tally records exactly the
+operations that code performed. The conventions:
 
-* an addition into a still-zeroed register at the very first sample is
-  free, so a cascade over N samples costs exactly (K+1)N - 1 additions
+* counted + counted is an addition; an addition into a plain ``0`` is
+  free, so the first sample landing in zeroed registers costs nothing,
+  and a cascade over N samples costs exactly (K+1)N - 1 additions
   including the K additions of the final combination;
+* counted * counted is a general multiplication; plain int * counted is
+  a constant multiplication (one fixed, precomputable operand);
 * coefficient precomputation is not counted -- the coefficients depend
   only on (K, N) and are evaluated once, outside the streaming loop;
 * the exponentiation baseline pays, per sample, the optimal-chain cost
@@ -21,12 +26,192 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from typing import IO, Iterable, Sequence
 
-from .cascade import Cascade, predict_cascade
-from .coeffs import _check_domain, coefficients_closed
-from .oracle import optimal_chain
-from .ops import Counted, OpCount
+from .coeffs import _check_domain
+
+# Exhaustive chain search is exponential in chain length; this keeps
+# worst-case searches at desk scale (well under a second).
+MAX_CHAIN_TARGET = 64
+
+
+@dataclass
+class OpCount:
+    """Tally of general multiplications, constant multiplications, additions.
+
+    General multiplications take two arbitrary operands; constant
+    multiplications have one fixed, precomputable operand (realizable with
+    shifts and adds in hardware). :class:`Counted` operands mutate the
+    fields in place.
+    """
+
+    general_mults: int = 0
+    constant_mults: int = 0
+    additions: int = 0
+
+    def __post_init__(self) -> None:
+        if min(self.general_mults, self.constant_mults, self.additions) < 0:
+            raise ValueError("operation counts cannot be negative")
+
+
+class Counted:
+    """An integer that records the arithmetic done on it in ``ops``.
+
+    Results are new ``Counted`` values sharing the same tally, so every
+    operation downstream of a counted input is counted too.
+    """
+
+    __slots__ = ("value", "ops")
+
+    def __init__(self, value: int, ops: OpCount) -> None:
+        self.value = value
+        self.ops = ops
+
+    def __add__(self, other: "Counted | int") -> "Counted":
+        if isinstance(other, Counted):
+            other = other.value
+        elif other == 0:
+            return self
+        self.ops.additions += 1
+        return Counted(self.value + other, self.ops)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: "Counted | int") -> "Counted":
+        if isinstance(other, Counted):
+            self.ops.general_mults += 1
+            return Counted(self.value * other.value, self.ops)
+        self.ops.constant_mults += 1
+        return Counted(other * self.value, self.ops)
+
+    __rmul__ = __mul__
+
+    def __int__(self) -> int:
+        return self.value
+
+
+def predict_cascade(K: int, N: int) -> OpCount:
+    """Cost of the streaming cascade: K+1 constant multiplications (one per
+    register, independent of N) and (K+1)N - 1 additions."""
+    _check_domain(K, N)
+    return OpCount(general_mults=0, constant_mults=K + 1, additions=(K + 1) * N - 1)
+
+
+@dataclass(frozen=True)
+class AdditionChain:
+    """An addition chain for a positive exponent.
+
+    ``steps[i]`` is a pair (a, b) of indices into the chain built so far
+    (position 0 holds 1), and appends chain[a] + chain[b]. The number of
+    steps is the number of multiplications needed to raise a value to the
+    target exponent.
+    """
+
+    target: int
+    steps: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.exponents()[-1] != self.target:
+            raise ValueError("chain does not end at the target exponent")
+
+    def exponents(self) -> list[int]:
+        """Replay the steps into the exponent sequence, starting from 1."""
+        values = [1]
+        for i, (a, b) in enumerate(self.steps):
+            if not (0 <= a <= i and 0 <= b <= i):
+                raise ValueError("step references a chain position not built yet")
+            values.append(values[a] + values[b])
+        return values
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
+def _search_chain(
+    values: list[int], steps: list[tuple[int, int]], target: int, remaining: int
+) -> list[tuple[int, int]] | None:
+    # Depth-first over strictly increasing chains (any chain can be
+    # reordered into an increasing one of the same length, so minimality
+    # is unaffected). Pairs are tried in lexicographic order and the
+    # first hit is returned, which makes the result deterministic.
+    if remaining == 0:
+        return None
+    top = values[-1]
+    n = len(values)
+    for a in range(n):
+        va = values[a]
+        for b in range(a, n):
+            c = va + values[b]
+            if c <= top or c > target:
+                continue
+            if c << (remaining - 1) < target:
+                continue  # even doubling every step cannot reach the target
+            steps.append((a, b))
+            if c == target:
+                found = list(steps)
+            else:
+                values.append(c)
+                found = _search_chain(values, steps, target, remaining - 1)
+                values.pop()
+            steps.pop()
+            if found is not None:
+                return found
+    return None
+
+
+@lru_cache(maxsize=None)
+def optimal_chain(K: int) -> AdditionChain:
+    """A minimal-length addition chain for K, by exhaustive search.
+
+    Iterative deepening from the log2 lower bound guarantees minimality;
+    within the minimal length, the lexicographically smallest step
+    sequence (over increasing chains, pairs ordered (a, b) with a <= b)
+    is returned.
+    """
+    if not 1 <= K <= MAX_CHAIN_TARGET:
+        raise ValueError(f"chain target must be in [1, {MAX_CHAIN_TARGET}]")
+    if K == 1:
+        return AdditionChain(target=1, steps=())
+    lower = (K - 1).bit_length()  # ceil(log2 K) for K >= 2
+    for length in count(lower):
+        steps = _search_chain([1], [], K, length)
+        if steps is not None:
+            return AdditionChain(target=K, steps=tuple(steps))
+    raise AssertionError("unreachable: doubling always reaches the target")
+
+
+def chain_power(n: int, chain: AdditionChain) -> int:
+    """n ** chain.target using exactly len(chain) multiplications."""
+    powers = [n]
+    for a, b in chain.steps:
+        powers.append(powers[a] * powers[b])
+    return powers[-1]
+
+
+def baseline_sum(v: Sequence[int], K: int) -> tuple[int, OpCount]:
+    """The same value as :func:`~powsum.oracle.direct_sum`, costed as a
+    streaming baseline that raises every index to the K-th power at
+    runtime.
+
+    Per sample: len(optimal_chain(K)) chain multiplications plus one
+    general multiplication by v[n] when K >= 1; no multiplications at all
+    when K == 0. Every sample pays full price, including n = 0 -- a real
+    streaming implementation would not special-case it. Accumulation
+    costs N - 1 additions.
+    """
+    if K < 0:
+        raise ValueError("power K must be non-negative")
+    ops = OpCount()
+    chain = optimal_chain(K) if K >= 1 else None
+    total: Counted | int = 0
+    for n, sample in enumerate(v):
+        term = Counted(sample, ops)
+        if chain is not None:
+            term = chain_power(Counted(n, ops), chain) * term
+        total += term
+    return int(total), ops
 
 
 def predict_baseline(K: int, N: int) -> OpCount:
@@ -39,19 +224,6 @@ def predict_baseline(K: int, N: int) -> OpCount:
     _check_domain(K, N)
     general = N * (len(optimal_chain(K)) + 1) if K >= 1 else 0
     return OpCount(general_mults=general, constant_mults=0, additions=N - 1)
-
-
-def measure_cascade(v: Sequence[int], K: int) -> OpCount:
-    """Run the real cascade over ``v`` as counted operands and return the
-    operations it performed (pushes plus one final combination). Empty
-    input measures as all zeros."""
-    ops = OpCount()
-    cascade = Cascade(K)
-    for sample in v:
-        cascade.push(Counted(sample, ops))
-    if cascade.samples_seen:
-        cascade.finalize(coefficients_closed(K, cascade.samples_seen))
-    return ops
 
 
 @dataclass(frozen=True)

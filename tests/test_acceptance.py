@@ -13,13 +13,14 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
-from powsum.cascade import Cascade
+from powsum.cascade import Cascade, measure_cascade
 from powsum.cli import main as cli_main
 from powsum.cli import push_stream
 from powsum.coeffs import coefficients_closed, coefficients_stirling
 from powsum.costmodel import (
+    baseline_sum,
     complexity_table,
-    measure_cascade,
+    optimal_chain,
     predict_baseline,
     predict_cascade,
 )
@@ -30,7 +31,7 @@ from powsum.exactmath import (
     stirling2,
     stirling_power_sum,
 )
-from powsum.oracle import baseline_sum, direct_sum, optimal_chain
+from powsum.oracle import direct_sum
 from tests.helpers import TABLE_GOLDEN, solve_exact
 
 SAMPLE_MAGNITUDE = 10**6

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from powsum import coeffs as coeffs_module
 from powsum.cascade import Cascade
 from powsum.coeffs import coefficients_closed
+from powsum.costmodel import Counted, OpCount
 from powsum.exactmath import binomial
-from powsum.ops import Counted, OpCount
 from powsum.oracle import direct_sum
 
 samples = st.integers(-(10**6), 10**6)

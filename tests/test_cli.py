@@ -1,11 +1,16 @@
 import argparse
 import contextlib
 import errno
+import fcntl
 import io
 import json
 import os
+import signal
+import struct
 import subprocess
 import sys
+import termios
+import time
 from unittest import mock
 
 import pytest
@@ -581,6 +586,35 @@ def test_closed_stdout_exits_141_without_traceback(argv, tmp_path):
         assert process.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
         stderr.seek(0)
         assert stderr.read() == b""
+
+
+def test_sigint_exits_130_without_traceback():
+    # stdin stays open after two samples, so moment waits for more; the
+    # test keeps the read end too, to see when the child has drained it
+    read_end, write_end = os.pipe()
+    try:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "powsum", "moment", "-K", "2"],
+            stdin=read_end,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        os.write(write_end, b"1\n2\n")
+        deadline = time.monotonic() + 60
+        # once the samples have left the pipe, the child is reading inside main()
+        while _unread_bytes(read_end) and process.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        process.send_signal(signal.SIGINT)
+        out, err = process.communicate(timeout=60)
+    finally:
+        os.close(write_end)
+        os.close(read_end)
+    assert (process.returncode, out, err) == (130, b"", b"")
+    assert cli.EXIT_INTERRUPTED == 130  # 128 + SIGINT
+
+
+def _unread_bytes(fd):
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0\0\0\0"))[0]
 
 
 def _close_stderr():

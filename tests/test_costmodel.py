@@ -3,16 +3,16 @@ import random
 
 import pytest
 
+from powsum.cascade import measure_cascade
 from powsum.costmodel import (
     CSV_HEADER,
     OpCount,
+    baseline_sum,
     complexity_table,
-    measure_cascade,
     predict_baseline,
     predict_cascade,
     write_csv,
 )
-from powsum.oracle import baseline_sum
 
 
 class TestOpCount:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import powsum
-from powsum.ops import Counted, OpCount
+from powsum.costmodel import Counted, OpCount
 
 
 class TestCounted:
@@ -72,8 +73,44 @@ def test_module_imports_on_its_own(module):
     assert result.returncode == 0, result.stderr
 
 
+PACKAGE = Path(powsum.__file__).parent
+
+
+def _package_imports(module):
+    """The dotted names of the powsum modules that powsum.<module> imports
+    (``powsum`` itself for the package); a relative import is one of them."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(f"powsum.{node.module}")
+            else:
+                names.update(f"powsum.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return {name for name in names if name.split(".")[0] == "powsum"}
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the ground truth shares no code with what it checks
+    assert _package_imports("oracle") == set()
+
+
+def test_costmodel_imports_neither_cascade_nor_oracle():
+    # the cascade imports the cost model, and the cost model stays apart
+    # from the ground truth
+    assert not _package_imports("costmodel") & {"powsum.cascade", "powsum.oracle"}
+
+
+def test_ops_module_is_gone():
+    # its counting rules live in powsum.costmodel
+    assert importlib.util.find_spec("powsum.ops") is None
+
+
 def test_no_import_inside_functions():
-    for path in sorted(Path(powsum.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in ast.walk(tree):
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
