@@ -76,7 +76,7 @@ class Cascade:
         # at the P+1 weights), so one cascade serves every power up to its
         # own. The products are added left to right, as a loop adds them;
         # sum() compensates float additions from Python 3.12 on, which would
-        # change --float results.
+        # change the results of floats pushed through the library.
         return reduce(add, map(mul, coeffs.coeffs, self.registers))
 
     def _power_error(self, power: int) -> ValueError:

@@ -10,23 +10,26 @@ Subcommands:
 
 An out-of-range or malformed argument is a usage error naming the flag,
 refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
-0..2000, ``table --kmax`` 0..100, ``complexity --Ks`` 0..64, and ``-N``,
-``--expect-n`` and ``--Ns`` at least 1; a ``--Ks`` or ``--Ns`` list holds at
-least one integer.
+0..2000, ``coeffs -N`` 1..10**18, ``table --kmax`` 0..100, ``complexity
+--Ks`` 0..64, and ``--expect-n`` and ``--Ns`` at least 1; a ``--Ks`` or
+``--Ns`` list holds at least one integer.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 130 interrupted by SIGINT
 (128 + SIGINT, as a shell reports for Ctrl-C), 141 stdout closed before
 all output was written (128 + SIGPIPE, as a shell reports for
-``seq | head``). Both signal exits print nothing on stderr. A closed
-stderr loses the messages, not the exit code.
+``seq | head``). Both signal exits print nothing on stderr. 130 holds once
+the CLI is running: a SIGINT during interpreter start-up or the package
+import (about the first 0.1 s) comes before ``entrypoint`` and still prints
+a traceback. A closed stderr loses the messages, not the exit code.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
-ignored. Under ``--float``, a non-finite sample and a result that is not a
-finite double (naming K) are errors with exit 2. All output is
-deterministic for identical inputs and flags (randomized checks take an
-explicit seed).
+ignored. Under ``--float`` each result is the exact sum of the parsed
+doubles, rounded once to the nearest double; a non-finite sample and a
+result beyond the double range (naming K) are errors with exit 2. All
+output is deterministic for identical inputs and flags (randomized checks
+take an explicit seed).
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ MAX_TABLE_KMAX = 100
 # keeps in the coefficient memo.
 MAX_K = 2000
 
+# coeffs' cost grows with the digits of -N: at K = 2000, coefficients_closed
+# takes 5.5 s at N = 10**6, 8.1 s at 2**32 and 17.6 s at 10**18, and printing
+# takes 3.0, 6.2 and 18.3 s more for 18, 25 and 42 MB (same VM)
+MAX_N = 10**18
+
+# Every finite double is a whole multiple of the smallest subnormal,
+# 2**-1074, so a --float sample times 2**FLOAT_SHIFT is an exact integer
+FLOAT_SHIFT = 1074
+
 
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
 
@@ -75,7 +87,7 @@ class SampleParseError(Exception):
         self.text = text
 
 
-def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], object]) -> None:
+def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
     One sample is in flight at a time; nothing is buffered beyond the
@@ -98,14 +110,14 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], o
             except ValueError:
                 pass
             else:
-                push(value)  # type: ignore[arg-type]
+                push(value)
                 continue
         value = _parse_stripped(lineno, raw, parse)
         if value is not None:
-            push(value)  # type: ignore[arg-type]
+            push(value)
 
 
-def _parse_stripped(lineno: int, raw: str, parse: Callable[[str], object]) -> object:
+def _parse_stripped(lineno: int, raw: str, parse: Callable[[str], int]) -> int | None:
     """The reader's slow path, for a line the fast path did not parse: the
     sample, or None for a blank or '#' line; otherwise SampleParseError."""
     text = raw.strip()
@@ -132,12 +144,14 @@ def _print_stderr(line: str) -> None:
         pass
 
 
-def _finite_float(text: str) -> float:
-    """float(text), rejecting nan, inf and literals that overflow to inf."""
+def _scaled_float(text: str) -> int:
+    """float(text) times 2**FLOAT_SHIFT, exactly, rejecting nan, inf and
+    literals that overflow to inf."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite sample {text!r}")
-    return value
+    num, den = value.as_integer_ratio()  # den is a power of two, at most 2**1074
+    return num << (FLOAT_SHIFT + 1 - den.bit_length())
 
 
 def _decimal_int(text: str) -> int:
@@ -219,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--float",
         dest="float_mode",
         action="store_true",
-        help="parse samples as finite doubles; results are approximate and the "
-        "exact-arithmetic guarantees do not apply",
+        help="parse samples as finite doubles; each result is the exact sum of the "
+        "parsed doubles, rounded once to the nearest double",
     )
     moment.add_argument("--format", choices=("json", "plain"), default="json")
 
@@ -229,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs_cmd.add_argument(
         "-K", "--power", type=_int_in(0, MAX_K), required=True, help=f"power K, at most {MAX_K}"
     )
-    coeffs_cmd.add_argument("-N", "--length", type=_int_in(1), required=True)
+    coeffs_cmd.add_argument("-N", "--length", type=_int_in(1, MAX_N), required=True)
     coeffs_cmd.add_argument("--format", choices=("json", "plain"), default="json")
 
     table_cmd = sub.add_parser(
@@ -242,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help=f"largest power to tabulate, at most {MAX_TABLE_KMAX} (beyond ~12 gets unwieldy)",
     )
-    table_cmd.add_argument("--format", choices=("plain",), default="plain")
 
     complexity_cmd = sub.add_parser(
         "complexity", help="operation-count comparison of cascade vs runtime exponentiation"
@@ -266,16 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck_cmd = sub.add_parser("selfcheck", help="run randomized consistency checks")
     selfcheck_cmd.set_defaults(run=_run_selfcheck)
     selfcheck_cmd.add_argument("--seed", type=_decimal_int, default=0)
-    selfcheck_cmd.add_argument("--format", choices=("json",), default="json")
 
     return parser
 
 
 def _run_moment(args: argparse.Namespace) -> int:
-    parse: Callable[[str], object] = int
-    if args.float_mode:
-        _print_stderr("warning: --float uses double precision; results are approximate")
-        parse = _finite_float
+    parse = _scaled_float if args.float_mode else int
     cascade = Cascade(max(args.powers))
 
     try:
@@ -303,15 +312,13 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     results = []
     for power in args.powers:
-        try:
-            value = cascade.finalize(coefficients_closed(power, n_samples))
-        except OverflowError:  # under --float, a coefficient beyond the double range
-            value = math.nan
-        if not abs(value) < math.inf:  # nan or inf; an int of any size is below inf
+        value = cascade.finalize(coefficients_closed(power, n_samples))
+        try:  # int/int true division rounds correctly, or overflows
+            S = str(value / (1 << FLOAT_SHIFT) if args.float_mode else value)
+        except OverflowError:
             _print_stderr(f"error: the result for K={power} is not a finite double under --float")
             return EXIT_USAGE
-        ops = predict_cascade(power, n_samples)
-        results.append({"K": power, "S": str(value), "ops": asdict(ops)})
+        results.append({"K": power, "S": S, "ops": asdict(predict_cascade(power, n_samples))})
 
     if args.format == "plain":
         for row in results:
@@ -333,17 +340,9 @@ def _run_coeffs(args: argparse.Namespace) -> int:
                 "solution on the sample grid"
             )
     else:
-        print(
-            json.dumps(
-                {
-                    "K": K,
-                    "N": N,
-                    "coefficients": [str(c) for c in coeffs.coeffs],
-                    "unique_on_sample_grid": unique,
-                },
-                indent=2,
-            )
-        )
+        coefficients = [str(c) for c in coeffs.coeffs]
+        report = {"K": K, "N": N, "coefficients": coefficients, "unique_on_sample_grid": unique}
+        print(json.dumps(report, indent=2))
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import errno
 import fcntl
 import io
 import json
+import math
 import os
 import signal
 import struct
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import termios
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -28,6 +30,27 @@ def run_cli(argv, stdin_text=None, monkeypatch=None):
         assert monkeypatch is not None
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     return cli.main(argv)
+
+
+def invoke(argv, stdin_text):
+    """cli.main(argv) over stdin_text, without fixtures (for hypothesis
+    tests): the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Doubles of every kind: any finite double, whole mantissas scaled across the
+# whole exponent range (mixed exponents in one stream), the subnormal and
+# normal boundaries, and values near the ends of the double range.
+DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, 971)),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]),
+    st.sampled_from([1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]),
+)
 
 
 class TestMoment:
@@ -121,9 +144,8 @@ class TestMoment:
         code = run_cli(["moment", "-K", "1", "--float"], "0.5\n0.25\n", monkeypatch)
         assert code == 0
         captured = capsys.readouterr()
-        assert "approximate" in captured.err
-        report = json.loads(captured.out)
-        assert float(report["results"][0]["S"]) == pytest.approx(0.25)
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"][0]["S"] == "0.25"
 
     @pytest.mark.parametrize("literal", ["nan", "inf", "-Infinity", "1e400"])
     def test_float_mode_rejects_non_finite(self, literal, monkeypatch, capsys):
@@ -134,17 +156,26 @@ class TestMoment:
         assert "line 2" in captured.err and literal in captured.err
 
     @pytest.mark.parametrize(
-        "power, text",
+        "power, text, S",
         [
-            ("150", "".join(f"{n}\n" for n in range(1, 201))),
-            ("1", "1e308\n1e308\n"),
+            ("150", "".join(f"{n}\n" for n in range(1, 201)), None),  # about 10**347
+            # the registers exceed the double range; the result does not
+            ("1", "1e308\n1e308\n", "1e+308"),
+            ("0", "1e308\n1e308\n", None),
+            ("150", "0\n" * 199 + "1e-300\n", "6.729169401450206e+44"),
         ],
-        ids=["coefficient-overflows", "register-overflows"],
+        ids=["coefficient-overflows", "register-overflows", "sum-overflows", "finite-result"],
     )
-    def test_float_mode_refuses_non_finite_result(self, power, text, monkeypatch, capsys):
+    def test_float_mode_refuses_non_finite_result(self, power, text, S, monkeypatch, capsys):
+        """A result beyond the double range is refused, naming K; every
+        finite one is printed, however large its terms."""
         code = run_cli(["moment", "--float", "-K", power], text, monkeypatch)
-        assert code == 2
         captured = capsys.readouterr()
+        if S is not None:
+            assert (code, captured.err) == (0, "")
+            assert json.loads(captured.out)["results"][0]["S"] == S
+            return
+        assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
             f"error: the result for K={power} is not a finite double under --float"
@@ -156,6 +187,32 @@ class TestMoment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2" in captured.err and "1_0.5" in captured.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DOUBLES, min_size=1, max_size=20), st.integers(0, 8))
+    def test_float_mode_is_the_exact_sum_rounded_once(self, samples, power):
+        exact = sum(n**power * Fraction(x) for n, x in enumerate(samples))
+        try:
+            expected = (0, f"{power} {float(exact)}\n", "")
+        except OverflowError:
+            refused = f"error: the result for K={power} is not a finite double under --float\n"
+            expected = (2, "", refused)
+        text = "".join(f"{x!r}\n" for x in samples)
+        assert invoke(["moment", "--float", f"-K{power}", "--format", "plain"], text) == expected
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=20),
+        st.lists(st.integers(0, 8), min_size=1, max_size=3),
+    )
+    def test_float_mode_on_integers_is_the_float_of_the_exact_result(self, samples, powers):
+        text = "".join(f"{x}\n" for x in samples)
+        argv = ["moment", "--format", "plain"] + [f"-K{power}" for power in powers]
+        code, out, err = invoke(argv, text)
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()]
+        expected = "".join(f"{K} {float(int(S))}\n" for K, S in rows)
+        assert invoke(argv + ["--float"], text) == (0, expected, "")
 
     def test_undecodable_input_file_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "samples.txt"
@@ -298,8 +355,22 @@ BOUNDS = [
         {},
         ["coeffs", "-K", "2", "-N", "1"],
         ["coeffs", "-K", "2", "-N", "0"],
-        refusal("coeffs", "-N/--length", "must be at least 1, got 0"),
+        refusal("coeffs", "-N/--length", "must be between 1 and 1000000000000000000, got 0"),
         id="coeffs-N",
+    ),
+    pytest.param(
+        {"MAX_N": 3},
+        ["coeffs", "-K", "2", "-N", "3"],
+        ["coeffs", "-K", "2", "-N", "4"],
+        refusal("coeffs", "-N/--length", "must be between 1 and 3, got 4"),
+        id="coeffs-N-max",
+    ),
+    pytest.param(
+        {},
+        ["coeffs", "-K", "2", "-N", "1000000000000000000"],
+        ["coeffs", "-K", "2000", "-N", "1000000000000000000000000000000"],
+        refusal("coeffs", "-N/--length", f"must be between 1 and {10**18}, got {10**30}"),
+        id="coeffs-N-1e30",
     ),
     pytest.param(
         {"MAX_TABLE_KMAX": 2},
@@ -734,7 +805,7 @@ FLAGS = {
         [("-K", st.integers(0, 40).map(str)), ("-N", st.integers(1, 10**6).map(str))],
         [("--format", st.sampled_from(["json", "plain"]))],
     ),
-    "table": ([], [("--kmax", st.integers(0, 6).map(str)), ("--format", st.just("plain"))]),
+    "table": ([], [("--kmax", st.integers(0, 6).map(str))]),
     "complexity": (
         [],
         [
@@ -743,7 +814,7 @@ FLAGS = {
             ("--format", st.sampled_from(["csv", "json"])),
         ],
     ),
-    "selfcheck": ([], [("--seed", st.integers(-5, 5).map(str)), ("--format", st.just("json"))]),
+    "selfcheck": ([], [("--seed", st.integers(-5, 5).map(str))]),
 }
 
 
