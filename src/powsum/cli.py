@@ -21,7 +21,10 @@ all output was written (128 + SIGPIPE, as a shell reports for
 ``seq | head``). Both signal exits print nothing on stderr. 130 holds once
 the CLI is running: a SIGINT during interpreter start-up or the package
 import (about the first 0.1 s) comes before ``entrypoint`` and still prints
-a traceback. A closed stderr loses the messages, not the exit code.
+a traceback. A closed stderr loses the messages, not the exit code. A
+stdin closed at start is an error line and exit 2 for ``moment`` without
+``--input``; a stdout closed at start exits 141 as soon as a command
+writes to it, and a usage error still exits 2.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -293,6 +296,9 @@ def _run_moment(args: argparse.Namespace) -> int:
             # so they fail as a parse error with their line number
             with open(args.input, encoding="utf-8", errors="surrogateescape") as stream:
                 push_stream(cascade, stream, parse)
+        elif sys.stdin is None:  # fd 0 was closed at start
+            _print_stderr("error: cannot read samples from stdin: it is closed")
+            return EXIT_USAGE
         else:
             if isinstance(sys.stdin, io.TextIOWrapper):
                 # the default is "strict" outside the C and POSIX locales
@@ -406,6 +412,12 @@ def entrypoint() -> None:
         os.write(2, b"")
     except OSError:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    if sys.stdout is None:
+        # fd 1 was closed at start: a pipe without a reader makes the first
+        # write fail as when the reader of stdout left, which exits 141
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
         code = main()
         # flushed here, so a reader that left early fails inside the try,

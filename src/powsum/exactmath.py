@@ -21,16 +21,6 @@ from typing import Sequence
 binomial = math.comb
 
 
-def rising_factorial(x: int, j: int) -> int:
-    """Rising factorial x(x+1)...(x+j-1); the empty product (j == 0) is 1."""
-    if j < 0:
-        raise ValueError("rising_factorial requires j >= 0")
-    product = 1
-    for i in range(j):
-        product *= x + i
-    return product
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k).
 
@@ -71,22 +61,14 @@ def signed_differences(values: Sequence[int]) -> list[int]:
     return leading
 
 
-def alternating_power_sum(m: int, k: int) -> int:
-    """sum_{j=0}^{k-1} (-1)^j C(k-1, j) j^m, with 0^0 == 1.
-
-    Up to sign this is the (k-1)-th finite difference of x^m at x = 0.
-    """
-    if m < 0 or k < 1:
-        raise ValueError("alternating_power_sum requires m >= 0 and k >= 1")
-    return signed_differences([j**m for j in range(k)])[-1]
-
-
 def stirling_power_sum(m: int, k: int) -> int:
-    """(-1)^(k-1) (k-1)! S(m, k-1): the closed form of alternating_power_sum.
+    """(-1)^(k-1) (k-1)! S(m, k-1): the closed form of the alternating power
+    sum sum_{j=0}^{k-1} (-1)^j C(k-1, j) j^m.
 
-    The two functions compute the same value along entirely different
-    routes; their equality is pinned down by the test suite and is what
-    justifies rewriting Stirling-form coefficients as alternating sums.
+    That sum, the route by finite differences, is the test oracle
+    ``alternating_power_sum`` in ``tests/helpers.py``. The test suite pins
+    the two routes equal, which is what justifies rewriting Stirling-form
+    coefficients as alternating sums.
     """
     if m < 0 or k < 1:
         raise ValueError("stirling_power_sum requires m >= 0 and k >= 1")

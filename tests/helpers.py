@@ -3,6 +3,14 @@
 Nothing in here may call back into the code paths it is used to check:
 the linear solver works over Fractions, the Stirling oracle uses the
 two-term recurrence, and naive_power is a bare multiplication loop.
+
+rising_factorial and alternating_power_sum are the other sides of two
+textbook identities that the package's Stirling numbers must satisfy:
+x^m as signed rising factorials, and the alternating power sum as
+stirling_power_sum's closed form. alternating_power_sum takes its finite
+differences from powsum.exactmath.signed_differences, which
+TestSignedDifferences checks against its definition, and not from the
+Stirling numbers it is compared with.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+from powsum.exactmath import signed_differences
 
 # Canonical coefficient-polynomial strings for powers 0..5, index k-1
 # within each row. 21 entries total.
@@ -36,6 +46,26 @@ def naive_power(n: int, K: int) -> int:
     for _ in range(K):
         result *= n
     return result
+
+
+def rising_factorial(x: int, j: int) -> int:
+    """Rising factorial x(x+1)...(x+j-1); the empty product (j == 0) is 1."""
+    if j < 0:
+        raise ValueError("rising_factorial requires j >= 0")
+    product = 1
+    for i in range(j):
+        product *= x + i
+    return product
+
+
+def alternating_power_sum(m: int, k: int) -> int:
+    """sum_{j=0}^{k-1} (-1)^j C(k-1, j) j^m, with 0^0 == 1.
+
+    Up to sign this is the (k-1)-th finite difference of x^m at x = 0.
+    """
+    if m < 0 or k < 1:
+        raise ValueError("alternating_power_sum requires m >= 0 and k >= 1")
+    return signed_differences([j**m for j in range(k)])[-1]
 
 
 @lru_cache(maxsize=None)

@@ -24,15 +24,14 @@ from powsum.costmodel import (
     predict_baseline,
     predict_cascade,
 )
-from powsum.exactmath import (
-    alternating_power_sum,
-    binomial,
-    rising_factorial,
-    stirling2,
-    stirling_power_sum,
-)
+from powsum.exactmath import binomial, stirling2, stirling_power_sum
 from powsum.oracle import direct_sum
-from tests.helpers import TABLE_GOLDEN, solve_exact
+from tests.helpers import (
+    TABLE_GOLDEN,
+    alternating_power_sum,
+    rising_factorial,
+    solve_exact,
+)
 
 SAMPLE_MAGNITUDE = 10**6
 

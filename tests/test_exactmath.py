@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powsum.exactmath import (
-    alternating_power_sum,
-    binomial,
-    rising_factorial,
-    signed_differences,
-    stirling2,
-    stirling_power_sum,
-)
-from tests.helpers import stirling2_recurrence
+from powsum.exactmath import binomial, signed_differences, stirling2, stirling_power_sum
+from tests.helpers import alternating_power_sum, rising_factorial, stirling2_recurrence
 
 
 class TestBinomial:

@@ -104,6 +104,15 @@ def test_costmodel_imports_neither_cascade_nor_oracle():
     assert not _package_imports("costmodel") & {"powsum.cascade", "powsum.oracle"}
 
 
+def test_selfcheck_checks_only_the_pipeline():
+    # selfcheck runs what moment computes; the helpers behind textbook
+    # identities are test oracles in tests/helpers.py
+    assert _package_imports("selfcheck") == {"powsum.cascade", "powsum.coeffs", "powsum.oracle"}
+    tree = ast.parse((PACKAGE / "exactmath.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"rising_factorial", "alternating_power_sum"}
+
+
 def test_ops_module_is_gone():
     # its counting rules live in powsum.costmodel
     assert importlib.util.find_spec("powsum.ops") is None
