@@ -12,19 +12,21 @@ An out-of-range or malformed argument is a usage error naming the flag,
 refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
 0..2000, ``coeffs -N`` 1..10**18, ``table --kmax`` 0..100, ``complexity
 --Ks`` 0..64, and ``--expect-n`` and ``--Ns`` at least 1; a ``--Ks`` or
-``--Ns`` list holds at least one integer.
+``--Ns`` list holds at least one integer. The sum of (K+1)**3 over the
+distinct ``-K`` of ``moment`` is at most twice that of ``-K 2000``.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 130 interrupted by SIGINT
-(128 + SIGINT, as a shell reports for Ctrl-C), 141 stdout closed before
-all output was written (128 + SIGPIPE, as a shell reports for
-``seq | head``). Both signal exits print nothing on stderr. 130 holds once
-the CLI is running: a SIGINT during interpreter start-up or the package
-import (about the first 0.1 s) comes before ``entrypoint`` and still prints
-a traceback. A closed stderr loses the messages, not the exit code. A
-stdin closed at start is an error line and exit 2 for ``moment`` without
-``--input``; a stdout closed at start exits 141 as soon as a command
-writes to it, and a usage error still exits 2.
+(128 + SIGINT, as a shell reports for Ctrl-C), 141 stdout could not take
+all the output: closed, its reader left, not writable or full (128 +
+SIGPIPE, as a shell reports for ``seq | head``). 130 prints nothing on
+stderr, and 141 one ``error:`` line unless the reader left or fd 1 was
+closed. 130 holds once the CLI runs: a SIGINT during interpreter start-up
+or the package import (about the first 0.1 s) comes before ``entrypoint``
+and still prints a traceback. A closed stderr loses the messages, not the
+exit code. A stdin closed at start is an error line and exit 2 for
+``moment`` without ``--input``; with stdout closed at start, a usage
+error still exits 2.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -38,6 +40,7 @@ take an explicit seed).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -48,7 +51,7 @@ from typing import Callable, Iterable, NoReturn, TextIO
 
 from .cascade import Cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
-from .costmodel import MAX_CHAIN_TARGET, complexity_table, predict_cascade, write_csv
+from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -70,6 +73,12 @@ MAX_TABLE_KMAX = 100
 # keeps in the coefficient memo.
 MAX_K = 2000
 
+# MAX_K holds per flag, so moment also caps the sum of (K+1)**3 over the
+# distinct powers at twice -K 2000's. Over one sample (same VM), -K 2000 takes
+# 1.41 s, -K 1999 -K 2000 2.77 s (1.9985 times, accepted) and -K 1981 ... -K
+# 2000 (19.7 times) about 57 s. A repeated -K counts once: the memo has its set.
+MAX_MOMENT_WORK = 2 * (MAX_K + 1) ** 3
+
 # coeffs' cost grows with the digits of -N: at K = 2000, coefficients_closed
 # takes 5.5 s at N = 10**6, 8.1 s at 2**32 and 17.6 s at 10**18, and printing
 # takes 3.0, 6.2 and 18.3 s more for 18, 25 and 42 MB (same VM)
@@ -86,8 +95,6 @@ _ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() remove
 class SampleParseError(Exception):
     def __init__(self, lineno: int, text: str) -> None:
         super().__init__(f"line {lineno}: cannot parse sample {text!r}")
-        self.lineno = lineno
-        self.text = text
 
 
 def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
@@ -99,43 +106,29 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     counts those calls as samples and derives the skipped lines from them.
 
     A sample is ASCII decimal text (``parse`` decides the literal form)
-    with optional surrounding whitespace; a line holding a ``_`` or a
-    non-ASCII character is not one, since ``int`` and ``float`` would
-    accept digit separators and non-ASCII digits.
+    with optional padding, and no ``_`` or non-ASCII character, which
+    ``int`` and ``float`` would accept as digit separators and digits.
     """
     push = cascade.push
     for lineno, raw in enumerate(lines, start=1):
-        # Parse first: int() and float() skip the padding and the newline
-        # themselves, so only the other lines need stripping.
         if raw.isascii() and "_" not in raw:
+            # int() and float() skip the padding and the newline themselves
             try:
                 value = parse(raw)
             except ValueError:
-                pass
-            else:
-                push(value)
-                continue
-        value = _parse_stripped(lineno, raw, parse)
-        if value is not None:
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                # str.strip() also removes \x1c-\x1f, which int() and float() keep
+                try:
+                    value = parse(text)
+                except ValueError:
+                    raise SampleParseError(lineno, text) from None
             push(value)
-
-
-def _parse_stripped(lineno: int, raw: str, parse: Callable[[str], int]) -> int | None:
-    """The reader's slow path, for a line the fast path did not parse: the
-    sample, or None for a blank or '#' line; otherwise SampleParseError."""
-    text = raw.strip()
-    if not text or text.startswith("#"):
-        return None
-    # str.strip() also removes the separators \x1c-\x1f, which int() and
-    # float() do not skip
-    if raw.isascii() and "_" not in raw:
-        try:
-            return parse(text)
-        except ValueError:
-            pass
-    # the same text as str.strip() on an ASCII line; keeps non-ASCII
-    # padding visible in the message
-    raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
+        else:
+            text = raw.strip()
+            if text and not text.startswith("#"):  # the message shows non-ASCII padding
+                raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
 
 
 def _print_stderr(line: str) -> None:
@@ -287,6 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_moment(args: argparse.Namespace) -> int:
+    work = sum((power + 1) ** 3 for power in set(args.powers))
+    if work > MAX_MOMENT_WORK:
+        _print_stderr(
+            f"error: argument -K/--power: sum of (K+1)**3 is {work}, more than {MAX_MOMENT_WORK}"
+        )
+        return EXIT_USAGE
     parse = _scaled_float if args.float_mode else int
     cascade = Cascade(max(args.powers))
 
@@ -370,6 +369,20 @@ def _run_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+CSV_HEADER = ("K", "N", "method", "general_mults", "constant_mults", "additions")
+
+
+def write_csv(reports: Iterable[ComplexityReport], stream: TextIO) -> None:
+    """Write reports under CSV_HEADER, three rows each (cascade, baseline,
+    baseline counted chain-only); every field is an integer or a fixed word."""
+    rows = [CSV_HEADER]
+    for r in reports:
+        rows.append((r.K, r.N, "cascade", r.cascade.general_mults, r.cascade.constant_mults, r.cascade.additions))
+        rows.append((r.K, r.N, "baseline", r.baseline.general_mults, r.baseline.constant_mults, r.baseline.additions))
+        rows.append((r.K, r.N, "baseline_chain_only", r.baseline_chain_only_mults, 0, r.baseline.additions))
+    stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _run_complexity(args: argparse.Namespace) -> int:
     reports = complexity_table(args.Ks, args.Ns)
     if args.format == "json":
@@ -420,11 +433,15 @@ def entrypoint() -> None:
         sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
         code = main()
-        # flushed here, so a reader that left early fails inside the try,
-        # not in the interpreter's flush at exit
+        # flushed here, so a stdout that cannot take the output fails inside
+        # the try, not in the interpreter's flush at exit
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        # only stdout can fail here: _run_moment handles the input's errors,
+        # and _print_stderr and _Parser those of stderr
         _discard(sys.stdout)
+        if exc.errno != errno.EPIPE:  # its reader left, or fd 1 was closed
+            _print_stderr(f"error: cannot write to stdout: {exc.strerror}")
         code = EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED

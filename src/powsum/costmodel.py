@@ -2,7 +2,7 @@
 it, the closed-form predictions, the runtime-exponentiation baseline the
 streaming cascade is costed against, and the report table comparing the
 two. ``measure_cascade`` lives beside the cascade it drives, in
-:mod:`powsum.cascade`.
+:mod:`powsum.cascade`, and the table's CSV writer in :mod:`powsum.cli`.
 
 Counting is a property of the operands, not of the algorithm: run the
 real code over :class:`Counted` values and the tally records exactly the
@@ -24,11 +24,10 @@ operations that code performed. The conventions:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .coeffs import _check_domain
 
@@ -253,19 +252,3 @@ def complexity_table(Ks: Iterable[int], Ns: Iterable[int]) -> list[ComplexityRep
         for N in Ns
     ]
 
-
-CSV_HEADER = ("K", "N", "method", "general_mults", "constant_mults", "additions")
-
-
-def write_csv(reports: Iterable[ComplexityReport], stream: IO[str]) -> None:
-    """Write reports as per-method rows under CSV_HEADER.
-
-    Each report gives three rows: the cascade, the baseline with the
-    inclusive multiplication count, and the baseline counted chain-only.
-    """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow((r.K, r.N, "cascade", r.cascade.general_mults, r.cascade.constant_mults, r.cascade.additions))
-        writer.writerow((r.K, r.N, "baseline", r.baseline.general_mults, r.baseline.constant_mults, r.baseline.additions))
-        writer.writerow((r.K, r.N, "baseline_chain_only", r.baseline_chain_only_mults, 0, r.baseline.additions))

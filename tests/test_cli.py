@@ -259,7 +259,7 @@ class TestMoment:
 
 
 # int() and float() accept every one of these; none is ASCII decimal text
-NON_DECIMAL = ["1_000", "\u0661\u0662", "\uff15", "\u00a05", "5\u00a0"]
+NON_DECIMAL = ["1_000", "1_0", "\u0661\u0662", "\uff15", "\u00a05", "5\u00a0", "\u00a012\u00a0"]
 
 
 @pytest.mark.parametrize("text", NON_DECIMAL)
@@ -329,6 +329,14 @@ BOUNDS = [
         ["moment", "-K", "x"],
         refusal("moment", "-K/--power", "not an ASCII decimal integer: 'x'"),
         id="moment-K-malformed",
+    ),
+    pytest.param(
+        # the sum of (K+1)**3 over the distinct powers; a repeated one counts once
+        {"MAX_MOMENT_WORK": 4**3 + 3**3},
+        ["moment", "-K", "3", "-K", "2", "-K", "3"],
+        ["moment", "-K", "3", "-K", "2", "-K", "0"],
+        "error: argument -K/--power: sum of (K+1)**3 is 92, more than 91",
+        id="moment-K-total",
     ),
     pytest.param(
         {},
@@ -439,6 +447,31 @@ def test_argument_bounds(limits, at_limit, past_limit, message, monkeypatch, cap
     assert err.splitlines()[-1] == message
 
 
+def test_repeated_powers_refused_before_stdin_is_read():
+    # twenty flags near MAX_K, about 20 times the work of one: refused at
+    # once, while stdin stays open and holds no sample
+    argv = ["moment", *(f"-K{power}" for power in range(1981, 2001))]
+    read_end, write_end = os.pipe()
+    try:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "powsum", *argv],
+            stdin=read_end,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            out, err = process.communicate(timeout=30)
+        finally:
+            process.kill()
+            process.wait()
+    finally:
+        os.close(write_end)
+        os.close(read_end)
+    assert (process.returncode, out) == (cli.EXIT_USAGE, b"")
+    assert err.startswith(b"error: argument -K/--power: sum of (K+1)**3 is ")
+    assert err.count(b"\n") == 1
+
+
 ASCII_SPACE = [c for c in map(chr, range(128)) if c.isspace() and c not in "\n\r"]
 padding = st.text(alphabet=ASCII_SPACE, max_size=3)
 
@@ -490,9 +523,11 @@ class TestPushStream:
         monkeypatch.setattr(Cascade, "push", counting_push)
         cascade = Cascade(2)
         lines = ["3\n", "\n", "# note\n", " -1 \r\n", "\x1c4\x1f\n", "+5", "   \n", "  # x\n"]
+        # a no-break space alone, a non-ASCII comment, ASCII separators as padding
+        lines += ["\u00a0\n", "# caf\u00e9 \uff15\n", "\x1c5\x1c\n"]
         cli.push_stream(cascade, lines, int)
-        assert calls == [3, -1, 4, 5]
-        assert cascade.samples_seen == 4
+        assert calls == [3, -1, 4, 5, 5]
+        assert cascade.samples_seen == 5
 
 
 class TestCoeffs:
@@ -796,6 +831,52 @@ def test_stdout_closed_at_start(argv, code):
         assert process.stderr == b""
     else:
         assert process.stderr.startswith(b"usage: ") and b"Traceback" not in process.stderr
+
+
+def _read_only_stdout():
+    # os.open's descriptor is closed at exec; the copy dup2 makes is not
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "-K", "2"],
+        ["coeffs", "-K", "2", "-N", "3"],
+        ["table", "--kmax", "40"],
+        ["complexity"],
+        ["selfcheck"],
+    ],
+    ids=["moment", "coeffs", "table", "complexity", "selfcheck"],
+)
+@pytest.mark.parametrize("setup", ["read-only", "full"])
+def test_unwritable_stdout_exits_141_with_one_error_line(argv, setup):
+    # block-buffered stdout, as without PYTHONUNBUFFERED: short output fails
+    # in the flush, table's in a write inside print()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if setup == "read-only":
+        stdout, preexec_fn, error = None, _read_only_stdout, errno.EBADF
+    elif os.path.exists("/dev/full"):
+        stdout, preexec_fn, error = open("/dev/full", "wb"), None, errno.ENOSPC
+    else:
+        pytest.skip("no /dev/full on this system")
+    try:
+        process = subprocess.run(
+            [sys.executable, "-m", "powsum", *argv],
+            input=b"1\n2\n",
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            preexec_fn=preexec_fn,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        if stdout is not None:
+            stdout.close()
+    assert process.returncode == cli.EXIT_BROKEN_PIPE
+    assert process.stderr.decode().splitlines() == [
+        f"error: cannot write to stdout: {os.strerror(error)}"
+    ]
 
 
 class Gone(io.StringIO):

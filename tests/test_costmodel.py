@@ -4,14 +4,13 @@ import random
 import pytest
 
 from powsum.cascade import measure_cascade
+from powsum.cli import CSV_HEADER, write_csv
 from powsum.costmodel import (
-    CSV_HEADER,
     OpCount,
     baseline_sum,
     complexity_table,
     predict_baseline,
     predict_cascade,
-    write_csv,
 )
 
 

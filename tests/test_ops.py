@@ -104,6 +104,20 @@ def test_costmodel_imports_neither_cascade_nor_oracle():
     assert not _package_imports("costmodel") & {"powsum.cascade", "powsum.oracle"}
 
 
+def test_costmodel_holds_only_the_model():
+    # output formats live in powsum.cli, the CSV writer beside the JSON one
+    tree = ast.parse((PACKAGE / "costmodel.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "csv" not in imported
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "write_csv" not in defined
+
+
 def test_selfcheck_checks_only_the_pipeline():
     # selfcheck runs what moment computes; the helpers behind textbook
     # identities are test oracles in tests/helpers.py
