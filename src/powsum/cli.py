@@ -47,7 +47,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Iterable, NoReturn, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .cascade import Cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
@@ -100,40 +100,43 @@ class SampleParseError(Exception):
 def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
-    One sample is in flight at a time; nothing is buffered beyond the
-    cascade registers and the current line. Every sample is one
-    ``cascade.push`` call: the benchmark's trace (``bench/traced.py``)
-    counts those calls as samples and derives the skipped lines from them.
+    The pushes run inside ``cascade.batched()``: besides the current line,
+    at most ``_CHUNK`` samples wait in the cascade's queue, and leaving the
+    block applies them, also when a parse error or an interrupt ends the
+    stream. Every sample is still one ``cascade.push`` call: the
+    benchmark's trace (``bench/traced.py``) counts those calls as samples
+    and derives the skipped lines from them.
 
     A sample is ASCII decimal text (``parse`` decides the literal form)
     with optional padding, and no ``_`` or non-ASCII character, which
     ``int`` and ``float`` would accept as digit separators and digits.
     """
     push = cascade.push
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.isascii() and "_" not in raw:
-            # int() and float() skip the padding and the newline themselves
-            try:
-                value = parse(raw)
-            except ValueError:
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                # str.strip() also removes \x1c-\x1f, which int() and float() keep
+    with cascade.batched():
+        for lineno, raw in enumerate(lines, start=1):
+            if raw.isascii() and "_" not in raw:
+                # int() and float() skip the padding and the newline themselves
                 try:
-                    value = parse(text)
+                    value = parse(raw)
                 except ValueError:
-                    raise SampleParseError(lineno, text) from None
-            push(value)
-        else:
-            text = raw.strip()
-            if text and not text.startswith("#"):  # the message shows non-ASCII padding
-                raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
+                    text = raw.strip()
+                    if not text or text.startswith("#"):
+                        continue
+                    # str.strip() also removes \x1c-\x1f, which int() and float() keep
+                    try:
+                        value = parse(text)
+                    except ValueError:
+                        raise SampleParseError(lineno, text) from None
+                push(value)
+            else:
+                text = raw.strip()
+                if text and not text.startswith("#"):  # the message shows non-ASCII padding
+                    raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
 
 
 def _print_stderr(line: str) -> None:
     """Print a message line to stderr. An unwritable stderr loses the line,
-    not the exit code; argparse ignores the same OSError for its messages."""
+    not the exit code; _Parser ignores the same OSError for its messages."""
     try:
         print(line, file=sys.stderr)
     except OSError:
@@ -190,12 +193,18 @@ def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        # drops a message stderr cannot take, as argparse does from Python 3.11
-        try:
-            super().error(message)
-        except OSError:
-            sys.exit(EXIT_USAGE)
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # Drops a usage or error message stderr cannot take, as argparse does
+        # from Python 3.11 (3.10 raises). But help on a stdout that cannot
+        # take it must reach entrypoint, which exits 141, where argparse
+        # from 3.11 would lose it and exit 0.
+        if message:
+            file = file or sys.stderr
+            try:
+                file.write(message)
+            except (AttributeError, OSError):
+                if file is sys.stdout:
+                    raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,9 +428,9 @@ def _discard(stream: TextIO) -> None:
 
 def entrypoint() -> None:
     try:
-        # fails when fd 2 is closed or not open for writing: print() and
-        # argparse (which before Python 3.11 does not ignore the error) would
-        # raise, or write to stdout if the interpreter found fd 2 closed
+        # fails when fd 2 is closed or not open for writing: each message
+        # would fail, or go to stdout if the interpreter found fd 2 closed
+        # (sys.stderr is then None, and print(file=None) writes to stdout)
         os.write(2, b"")
     except OSError:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")

@@ -1,10 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powsum import cascade as cascade_module
 from powsum import coeffs as coeffs_module
 from powsum.cascade import Cascade
 from powsum.coeffs import coefficients_closed
@@ -293,3 +295,150 @@ class TestFloatCascade:
         cascade = run_cascade(1, [0.5, 0.25, -1.5])
         value, _ = cascade.moment_with_ops(1)
         assert value == pytest.approx(0.25 * 1 + (-1.5) * 2)
+
+
+CHUNK = cascade_module._CHUNK
+
+
+def run_batched(K, v):
+    cascade = Cascade(K)
+    with cascade.batched():
+        for sample in v:
+            cascade.push(sample)
+    return cascade
+
+
+class TestBatched:
+    """Inside ``batched()`` samples queue and the registers advance a chunk
+    at a time; every read must equal the per-sample cascade's."""
+
+    @settings(max_examples=60)
+    @given(
+        v=st.lists(samples, max_size=40),
+        K=st.integers(0, 6),
+        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+    )
+    def test_ints_match_per_sample_push(self, v, K, chunk):
+        with mock.patch.object(cascade_module, "_CHUNK", chunk):
+            batched = run_batched(K, v)
+        plain = run_cascade(K, v)
+        assert batched.registers == plain.registers
+        assert batched.samples_seen == plain.samples_seen == len(v)
+        if v:
+            for P in range(K + 1):
+                coeffs = coefficients_closed(P, len(v))
+                assert batched.finalize(coeffs) == plain.finalize(coeffs) == direct_sum(v, P)
+
+    @settings(max_examples=60)
+    @given(
+        v=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40),
+        K=st.integers(0, 6),
+        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+    )
+    def test_floats_are_bit_identical(self, v, K, chunk):
+        with mock.patch.object(cascade_module, "_CHUNK", chunk):
+            batched = run_batched(K, v)
+        plain = run_cascade(K, v)
+        # repr tells -0.0 from 0.0, and round-trips every double
+        assert list(map(repr, batched.registers)) == list(map(repr, plain.registers))
+        coeffs = coefficients_closed(K, len(v))
+        assert repr(batched.finalize(coeffs)) == repr(plain.finalize(coeffs))
+
+    @settings(max_examples=40)
+    @given(
+        v=st.lists(samples, min_size=1, max_size=30),
+        K=st.integers(0, 6),
+        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+    )
+    def test_counted_tallies_are_identical(self, v, K, chunk):
+        batched_ops, plain_ops = OpCount(), OpCount()
+        with mock.patch.object(cascade_module, "_CHUNK", chunk):
+            batched = run_batched(K, [Counted(sample, batched_ops) for sample in v])
+        plain = run_cascade(K, [Counted(sample, plain_ops) for sample in v])
+        assert batched_ops == plain_ops == OpCount(additions=(K + 1) * (len(v) - 1))
+        assert [r.value for r in batched.registers] == [r.value for r in plain.registers]
+        coeffs = coefficients_closed(K, len(v))
+        assert batched.finalize(coeffs).value == plain.finalize(coeffs).value == direct_sum(v, K)
+        assert batched_ops == plain_ops
+
+    @pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_streams_around_chunk_boundaries(self, length):
+        rng = random.Random(length)
+        v = [rng.randint(-(10**6), 10**6) for _ in range(length)]
+        batched, plain = run_batched(3, v), run_cascade(3, v)
+        assert batched.snapshot() == plain.snapshot()
+        assert batched.samples_seen == length
+        if v:
+            assert batched.finalize(coefficients_closed(3, length)) == direct_sum(v, 3)
+
+    @settings(max_examples=60)
+    @given(
+        steps=st.lists(
+            st.one_of(samples, st.sampled_from(["finalize", "snapshot", "registers", "samples_seen"])),
+            max_size=40,
+        ),
+        K=st.integers(0, 4),
+        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+    )
+    def test_reads_inside_the_block_see_every_pushed_sample(self, steps, K, chunk):
+        batched, plain = Cascade(K), Cascade(K)
+        pushed = []
+        with mock.patch.object(cascade_module, "_CHUNK", chunk), batched.batched():
+            for step in steps:
+                if isinstance(step, int):
+                    batched.push(step)
+                    plain.push(step)
+                    pushed.append(step)
+                elif step == "finalize":
+                    if pushed:
+                        coeffs = coefficients_closed(K, len(pushed))
+                        assert batched.finalize(coeffs) == direct_sum(pushed, K)
+                elif step == "snapshot":
+                    assert batched.snapshot() == plain.snapshot()
+                elif step == "registers":
+                    assert batched.registers == plain.registers
+                else:
+                    assert batched.samples_seen == len(pushed)
+        assert batched.registers == plain.registers
+        assert batched.samples_seen == len(pushed)
+
+    def test_exception_inside_the_block_applies_every_pushed_sample(self):
+        v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
+        cascade = Cascade(2)
+        with pytest.raises(KeyError):
+            with cascade.batched():
+                for sample in v:
+                    cascade.push(sample)
+                raise KeyError("stream ended")
+        assert cascade.samples_seen == len(v)
+        assert cascade.registers == run_cascade(2, v).registers
+        cascade.push(5)  # immediate again
+        assert cascade.samples_seen == len(v) + 1
+
+    def test_queue_stays_below_one_chunk(self):
+        # memory stays bounded: a full queue is applied by the push that fills it
+        cascade = Cascade(2)
+        with cascade.batched():
+            for sample in range(3 * CHUNK):
+                cascade.push(sample)
+                assert len(cascade._queue) < CHUNK
+
+    def test_blocks_do_not_nest(self):
+        cascade = Cascade(1)
+        with cascade.batched():
+            cascade.push(3)
+            with pytest.raises(RuntimeError):
+                with cascade.batched():
+                    pass
+            cascade.push(4)
+        assert cascade.registers == [7, 10]
+
+    def test_push_outside_the_block_is_immediate(self):
+        ops = OpCount()
+        cascade = Cascade(3)
+        with cascade.batched():
+            pass
+        for n in range(1, 6):
+            cascade.push(Counted(n, ops))
+            # the tally is complete before any read of the cascade
+            assert ops == OpCount(additions=4 * (n - 1))

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import errno
 import fcntl
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powsum import cli
-from powsum.cascade import Cascade
+from powsum.cascade import _CHUNK, Cascade
 from powsum.coeffs import CoefficientSet, coefficients_closed
 from powsum.oracle import direct_sum
 
@@ -529,6 +528,17 @@ class TestPushStream:
         assert calls == [3, -1, 4, 5, 5]
         assert cascade.samples_seen == 5
 
+    def test_parse_error_leaves_every_sample_before_it_applied(self):
+        # more than one chunk before the bad line: a full chunk was applied
+        # and the rest was still queued when the error ended the stream
+        samples = list(range(-3, _CHUNK + 2))
+        lines = [f"{sample}\n" for sample in samples] + ["x\n", "7\n"]
+        cascade = Cascade(3)
+        with pytest.raises(cli.SampleParseError, match=f"^line {len(samples) + 1}: "):
+            cli.push_stream(cascade, lines, int)
+        assert cascade.samples_seen == len(samples)
+        assert cascade.finalize(coefficients_closed(3, len(samples))) == direct_sum(samples, 3)
+
 
 class TestCoeffs:
     def test_known_values(self, capsys):
@@ -726,8 +736,8 @@ def _close_stderr():
 
 
 def _read_only_stderr():
-    os.close(2)
-    os.open(os.devnull, os.O_RDONLY)  # takes the lowest free descriptor, 2
+    # os.open's descriptor is closed at exec; the copy dup2 makes is not
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
 
 
 @pytest.mark.parametrize("fd2", [_close_stderr, _read_only_stderr])
@@ -879,18 +889,45 @@ def test_unwritable_stdout_exits_141_with_one_error_line(argv, setup):
     ]
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["moment", "--help"]], ids=["powsum", "moment"])
+@pytest.mark.parametrize("setup", ["read-only", "full"])
+def test_help_on_unwritable_unbuffered_stdout_exits_141(argv, setup):
+    # unbuffered stdout: the help text fails in the parser's own write, not
+    # in entrypoint's flush, and argparse from Python 3.11 ignores the error
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    if setup == "read-only":
+        stdout, preexec_fn, error = None, _read_only_stdout, errno.EBADF
+    elif os.path.exists("/dev/full"):
+        stdout, preexec_fn, error = open("/dev/full", "wb"), None, errno.ENOSPC
+    else:
+        pytest.skip("no /dev/full on this system")
+    try:
+        process = subprocess.run(
+            [sys.executable, "-m", "powsum", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            preexec_fn=preexec_fn,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        if stdout is not None:
+            stdout.close()
+    assert process.returncode == cli.EXIT_BROKEN_PIPE
+    assert process.stderr.decode().splitlines() == [
+        f"error: cannot write to stdout: {os.strerror(error)}"
+    ]
+
+
 class Gone(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
 def test_failed_usage_message_keeps_exit_code(monkeypatch):
-    # argparse before Python 3.11 lets the OSError of a message write escape
-    def print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", print_message)
+    # the parser writes its messages itself, so the outcome does not depend
+    # on argparse's version: 3.10 lets the OSError escape, 3.11 drops it
     monkeypatch.setattr("sys.stderr", Gone())
     assert cli.main(["moment"]) == cli.EXIT_USAGE
     # a closed stdout still reaches entrypoint, which exits 141
