@@ -13,7 +13,6 @@ from .coeffs import (
     IntPolynomial,
     coefficient_polynomials,
     coefficients_closed,
-    coefficients_stirling,
 )
 from .costmodel import (
     AdditionChain,
@@ -42,7 +41,6 @@ __all__ = [
     "chain_power",
     "coefficient_polynomials",
     "coefficients_closed",
-    "coefficients_stirling",
     "complexity_table",
     "direct_sum",
     "measure_cascade",

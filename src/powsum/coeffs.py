@@ -1,18 +1,18 @@
 """Coefficients that turn cascaded-accumulator outputs into powered sums.
 
-Two independent numeric routes produce the K+1 combination coefficients
-for a concrete (K, N): a Stirling-number form and an alternating binomial
-closed form. The closed form is evaluated as a difference table of the
-powers (N+j)^K: K+1 powers and K(K+1)/2 subtractions, with no binomial
-coefficients. For the running pattern, one call per sample with N rising
-by one, the closed form keeps the last set returned for each K and steps
-it to N+1 with K subtractions instead (:meth:`CoefficientSet.step`). The
-sets are immutable named tuples: every caller of the running pattern
-shares the kept set, so no caller can change it under another, and
-concurrent callers always get correct sets. A third, symbolic route
-produces the same coefficients as integer polynomials in the sequence
-length N. All three agree everywhere; the test suite never lets
-them drift apart.
+One numeric route produces the K+1 combination coefficients for a
+concrete (K, N): the alternating binomial closed form, evaluated as a
+difference table of the powers (N+j)^K: K+1 powers and K(K+1)/2
+subtractions, with no binomial coefficients. For the running pattern,
+one call per sample with N rising by one, it keeps the last set returned
+for each K and steps it to N+1 with K subtractions instead
+(:meth:`CoefficientSet.step`). The sets are immutable named tuples:
+every caller of the running pattern shares the kept set, so no caller
+can change it under another, and concurrent callers always get correct
+sets. One symbolic route produces the same coefficients as integer
+polynomials in the sequence length N. A third route, through Stirling
+numbers of the second kind, lives in the tests as a reference, and the
+test suite pins all three equal.
 """
 
 from __future__ import annotations
@@ -21,9 +21,24 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import sub
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
-from .exactmath import signed_differences, stirling_power_sum
+
+def signed_differences(values: Sequence[int]) -> list[int]:
+    """[(-1)^i Delta^i values[0] for i in range(len(values))], where Delta
+    is the forward difference.
+
+    Entry i equals sum_{j=0}^{i} (-1)^j C(i, j) values[j], computed from a
+    difference table without binomial coefficients: each row holds the
+    negated forward differences of the row above, so row i starts with
+    (-1)^i Delta^i values[0]. That costs len(values)(len(values)-1)/2
+    subtractions.
+    """
+    leading, row = [], values
+    while row:
+        leading.append(row[0])
+        row = [a - b for a, b in zip(row, row[1:])]
+    return leading
 
 
 def _check_domain(K: int, N: int) -> None:
@@ -106,25 +121,6 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     differences = signed_differences([(N + j) ** K for j in range(K + 1)])
     _latest[K] = last = CoefficientSet(K, N, tuple(differences))
     return last
-
-
-def coefficients_stirling(K: int, N: int) -> CoefficientSet:
-    """Combination coefficients via Stirling numbers of the second kind.
-
-    c_k = (-1)^(k-1) (k-1)! sum_{m=k-1}^{K} C(K, m) N^(K-m) S(m, k-1),
-    summed as sum_m C(K, m) N^(K-m) stirling_power_sum(m, k); the terms
-    below m = k-1 vanish with S(m, k-1).
-
-    Returns the same values as :func:`coefficients_closed` by an entirely
-    different computation; keeping both paths alive is the strongest
-    cross-check on the whole coefficient derivation.
-    """
-    _check_domain(K, N)
-    cs = tuple(
-        sum(math.comb(K, m) * N ** (K - m) * stirling_power_sum(m, k) for m in range(k - 1, K + 1))
-        for k in range(1, K + 2)
-    )
-    return CoefficientSet(K, N, cs)
 
 
 @dataclass(frozen=True)

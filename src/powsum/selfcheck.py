@@ -1,7 +1,9 @@
-"""Randomized cross-checks of the whole pipeline, behind the ``selfcheck``
+"""Randomized checks of the whole pipeline, behind the ``selfcheck``
 CLI command.
 
-Every check compares two independent routes to the same value. A check is
+Each check tests one thing that ``moment`` relies on: the streamed result
+against the brute-force sum, the coefficients against the identity that
+defines them, and each register against its binomial weight. A check is
 a generator that yields ``None`` for each passing case and a
 counterexample for a failing one; the run stops at the first
 counterexample. Given the same seed, the run is fully deterministic.
@@ -14,7 +16,7 @@ import random
 from typing import Any, Iterator
 
 from .cascade import Cascade
-from .coeffs import coefficients_closed, coefficients_stirling
+from .coeffs import coefficients_closed
 from .oracle import direct_sum
 
 SAMPLE_MAGNITUDE = 10**6
@@ -39,21 +41,24 @@ def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
             yield {"K": K, "N": N, "v": v, "streamed": str(streamed), "expected": str(expected)}
 
 
-def _coefficient_paths_agree(rng: random.Random) -> Cases:
+def _coefficients_reproduce_powers(rng: random.Random) -> Cases:
+    """After N samples, the sample at index n has weight C(N-n+k-2, k-1)
+    in register k (see ``_impulse_response``), so the coefficients turn
+    the registers into sum(n**K * v[n]) exactly when
+    sum_k c_k C(N-n+k-2, k-1) == n**K for every n < N. That is what this
+    check asserts. For N < K+1 the coefficients are not unique, and any
+    set that passes is one that ``moment`` may use."""
     for _ in range(TRIALS):
         K = rng.randint(0, 10)
         N = rng.randint(1, 50)
-        closed = coefficients_closed(K, N).coeffs
-        stirling = coefficients_stirling(K, N).coeffs
-        if closed == stirling:
-            yield None
+        coeffs = coefficients_closed(K, N).coeffs
+        for n in range(N):
+            weighted = (c * math.comb(N - n + k - 2, k - 1) for k, c in enumerate(coeffs, 1))
+            if sum(weighted) != n**K:
+                yield {"K": K, "N": N, "n": n, "coeffs": [str(c) for c in coeffs]}
+                break
         else:
-            yield {
-                "K": K,
-                "N": N,
-                "closed": [str(c) for c in closed],
-                "stirling": [str(c) for c in stirling],
-            }
+            yield None
 
 
 def _impulse_response() -> Cases:
@@ -88,7 +93,7 @@ def run_selfcheck(seed: int = 0) -> dict[str, Any]:
     # a seed fixes every case.
     checks = {
         "cascade_matches_direct_sum": _cascade_matches_direct_sum(rng),
-        "coefficient_paths_agree": _coefficient_paths_agree(rng),
+        "coefficients_reproduce_powers": _coefficients_reproduce_powers(rng),
         "impulse_response": _impulse_response(),
     }
     reports = [_report(name, cases) for name, cases in checks.items()]

@@ -1,25 +1,33 @@
 """Independent oracles shared across the test suite.
 
 Nothing in here may call back into the code paths it is used to check:
-the linear solver works over Fractions, the Stirling oracle uses the
+the linear solver works over Fractions, stirling2_recurrence uses the
 two-term recurrence, and naive_power is a bare multiplication loop.
 
+coefficients_stirling is the reference route to the combination
+coefficients, through Stirling numbers of the second kind: stirling2 by
+its explicit alternating sum, checked against stirling2_recurrence, and
+stirling_power_sum, the closed form of an alternating power sum. The
+tests pin it equal to powsum.coeffs.coefficients_closed, the route the
+package runs.
+
 rising_factorial and alternating_power_sum are the other sides of two
-textbook identities that the package's Stirling numbers must satisfy:
-x^m as signed rising factorials, and the alternating power sum as
+textbook identities that those Stirling numbers must satisfy: x^m as
+signed rising factorials, and the alternating power sum as
 stirling_power_sum's closed form. alternating_power_sum takes its finite
-differences from powsum.exactmath.signed_differences, which
+differences from powsum.coeffs.signed_differences, which
 TestSignedDifferences checks against its definition, and not from the
 Stirling numbers it is compared with.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from powsum.exactmath import signed_differences
+from powsum.coeffs import CoefficientSet, signed_differences
 
 # Canonical coefficient-polynomial strings for powers 0..5, index k-1
 # within each row. 21 entries total.
@@ -66,6 +74,60 @@ def alternating_power_sum(m: int, k: int) -> int:
     if m < 0 or k < 1:
         raise ValueError("alternating_power_sum requires m >= 0 and k >= 1")
     return signed_differences([j**m for j in range(k)])[-1]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k).
+
+    Computed by the explicit alternating sum
+
+        S(n, k) = (1/k!) * sum_{i=0}^{k} (-1)^i C(k, i) (k-i)^n
+
+    rather than the usual two-term recurrence, so the recurrence
+    (stirling2_recurrence) stays available as an independent check.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 requires non-negative arguments")
+    total = 0
+    for i in range(k + 1):
+        term = math.comb(k, i) * (k - i) ** n
+        total = total - term if i % 2 else total + term
+    quotient, remainder = divmod(total, math.factorial(k))
+    # the alternating sum is always an exact multiple of k!
+    assert remainder == 0
+    return quotient
+
+
+def stirling_power_sum(m: int, k: int) -> int:
+    """(-1)^(k-1) (k-1)! S(m, k-1): the closed form of the alternating power
+    sum sum_{j=0}^{k-1} (-1)^j C(k-1, j) j^m.
+
+    That sum, the route by finite differences, is alternating_power_sum.
+    The test suite pins the two equal, which is what justifies rewriting
+    Stirling-form coefficients as alternating sums.
+    """
+    if m < 0 or k < 1:
+        raise ValueError("stirling_power_sum requires m >= 0 and k >= 1")
+    sign = -1 if (k - 1) % 2 else 1
+    return sign * math.factorial(k - 1) * stirling2(m, k - 1)
+
+
+def coefficients_stirling(K: int, N: int) -> CoefficientSet:
+    """Combination coefficients via Stirling numbers of the second kind.
+
+    c_k = (-1)^(k-1) (k-1)! sum_{m=k-1}^{K} C(K, m) N^(K-m) S(m, k-1),
+    summed as sum_m C(K, m) N^(K-m) stirling_power_sum(m, k); the terms
+    below m = k-1 vanish with S(m, k-1).
+
+    Returns the same values as coefficients_closed by an entirely
+    different computation. A K or N out of the domain raises ValueError
+    from the CoefficientSet constructor.
+    """
+    cs = tuple(
+        sum(math.comb(K, m) * N ** (K - m) * stirling_power_sum(m, k) for m in range(k - 1, K + 1))
+        for k in range(1, K + 2)
+    )
+    return CoefficientSet(K, N, cs)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from powsum.cascade import Cascade, measure_cascade
 from powsum.cli import main as cli_main
 from powsum.cli import push_stream
-from powsum.coeffs import coefficients_closed, coefficients_stirling
+from powsum.coeffs import coefficients_closed
 from powsum.costmodel import (
     baseline_sum,
     complexity_table,
@@ -24,13 +24,16 @@ from powsum.costmodel import (
     predict_baseline,
     predict_cascade,
 )
-from powsum.exactmath import binomial, stirling2, stirling_power_sum
+from powsum.exactmath import binomial
 from powsum.oracle import direct_sum
 from tests.helpers import (
     TABLE_GOLDEN,
     alternating_power_sum,
+    coefficients_stirling,
     rising_factorial,
     solve_exact,
+    stirling2,
+    stirling_power_sum,
 )
 
 SAMPLE_MAGNITUDE = 10**6

@@ -644,7 +644,7 @@ class TestSelfcheck:
         assert report["all_passed"] is True
         assert {check["name"] for check in report["checks"]} == {
             "cascade_matches_direct_sum",
-            "coefficient_paths_agree",
+            "coefficients_reproduce_powers",
             "impulse_response",
         }
         assert [check["cases"] for check in report["checks"]] == [60, 60, 252]
@@ -673,6 +673,23 @@ class TestSelfcheck:
         assert {"K", "N", "v"} <= set(counterexample)
         # the first randomized case already fails, and the report says so
         assert failed["cases"] == 1
+
+    def test_fault_beyond_the_streamed_powers_detected(self, monkeypatch, capsys):
+        # cascade_matches_direct_sum draws K <= 8, so only the identity
+        # check sees a last coefficient that is off for K >= 9
+        def corrupted(K, N):
+            good = coefficients_closed(K, N)
+            if K < 9:
+                return good
+            return CoefficientSet(K, N, (*good.coeffs[:-1], good.coeffs[-1] + 1))
+
+        monkeypatch.setattr("powsum.selfcheck.coefficients_closed", corrupted)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["coefficients_reproduce_powers"]
+        assert failed[0]["cases"] <= 60
+        assert set(failed[0]["counterexample"]) == {"K", "N", "n", "coeffs"}
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,10 @@ from powsum.coeffs import (
     IntPolynomial,
     coefficient_polynomials,
     coefficients_closed,
-    coefficients_stirling,
+    signed_differences,
 )
-from powsum.exactmath import binomial, signed_differences
-from tests.helpers import TABLE_GOLDEN, solve_exact
+from powsum.exactmath import binomial
+from tests.helpers import TABLE_GOLDEN, coefficients_stirling, solve_exact
 
 
 class TestNumericPaths:

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powsum.exactmath import binomial, signed_differences, stirling2, stirling_power_sum
-from tests.helpers import alternating_power_sum, rising_factorial, stirling2_recurrence
+from powsum.coeffs import signed_differences
+from powsum.exactmath import binomial
+from tests.helpers import (
+    alternating_power_sum,
+    rising_factorial,
+    stirling2,
+    stirling2_recurrence,
+    stirling_power_sum,
+)
 
 
 class TestBinomial:

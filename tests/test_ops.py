@@ -118,13 +118,34 @@ def test_costmodel_holds_only_the_model():
     assert "write_csv" not in defined
 
 
+def _defined_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
 def test_selfcheck_checks_only_the_pipeline():
     # selfcheck runs what moment computes; the helpers behind textbook
     # identities are test oracles in tests/helpers.py
     assert _package_imports("selfcheck") == {"powsum.cascade", "powsum.coeffs", "powsum.oracle"}
-    tree = ast.parse((PACKAGE / "exactmath.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"rising_factorial", "alternating_power_sum"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not _defined_functions(path) & {"rising_factorial", "alternating_power_sum"}, path
+
+
+def test_package_ships_one_coefficient_route():
+    # the Stirling route is a test oracle in tests/helpers.py, and
+    # exactmath keeps only the binomial alias the benchmark imports
+    for path in sorted(PACKAGE.glob("*.py")):
+        stirling = {"coefficients_stirling", "stirling2", "stirling_power_sum"}
+        assert not _defined_functions(path) & stirling, path
+    assert _defined_functions(PACKAGE / "exactmath.py") == set()
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, powsum.cli; print('powsum.exactmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_ops_module_is_gone():
@@ -161,7 +182,6 @@ def test_public_surface():
         "chain_power",
         "coefficient_polynomials",
         "coefficients_closed",
-        "coefficients_stirling",
         "complexity_table",
         "direct_sum",
         "measure_cascade",
