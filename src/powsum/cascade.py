@@ -4,15 +4,13 @@ Register k (one-based) holds a running weighted sum of the input whose
 weights are binomial coefficients of degree k-1 in the sample index, so a
 final weighted combination of the registers recovers sum(n**K * v[n])
 without ever storing the stream. Memory is K+1 registers, plus at most
-one chunk of queued samples inside ``batched()``, regardless of how many
-samples go by.
+one chunk of queued samples while ``moment``'s reader runs, regardless of
+how many samples go by.
 
 A cascade is single-writer: pushes must be serialized by the caller (the
-recurrence is inherently sequential). Outside ``batched()``, ``snapshot``
-and ``finalize`` never mutate the registers and may run concurrently with
-each other, but not with a push. Inside it, every read first applies the
-queued samples, so a batched cascade is single-threaded: reads and pushes
-all from one thread. Distinct cascades are fully independent.
+recurrence is inherently sequential). ``snapshot`` and ``finalize`` never
+mutate the registers and may run concurrently with each other, but not
+with a push. Distinct cascades are fully independent.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Iterator, Sequence
 from .coeffs import CoefficientSet, coefficients_closed
 from .costmodel import Counted, OpCount, predict_cascade
 
-# Samples queued inside batched() before the registers advance. A drain
+# Samples queued inside _batched() before the registers advance. A drain
 # holds up to three lists of this length. Reading 2*10**5 samples up to 10**18 into
 # Cascade(32) in process (2-core Xeon VM, Python 3.11), chunks of 256, 512,
 # 1024 and 4096 raised the peak RSS by 0.2, 0.4, 0.7 and 1.4 MB and took
@@ -38,48 +36,29 @@ class Cascade:
     """K+1 accumulator registers plus a sample count.
 
     ``registers[k-1]`` is the k-th accumulator output for the samples
-    pushed so far; ``registers[0]`` is the plain running sum. Samples are
+    pushed so far, ``registers[0]`` the plain running sum, and
+    ``samples_seen`` counts those samples. Both are plain attributes that
+    only pushes write, so no read changes the cascade. Samples are
     normally ints, which keeps every result exact. Floats may be pushed
     too, with approximate results, and :class:`~powsum.costmodel.Counted`
     samples count the operations the cascade performs on them.
-
-    ``push`` applies its sample at once, except inside ``with
-    cascade.batched():``, where samples queue and the registers advance
-    ``_CHUNK`` samples at a time. Both modes do the same additions in the
-    same order, and every read (``registers``, ``samples_seen``,
-    ``snapshot``, ``finalize``) sees every sample pushed before it.
     """
 
     def __init__(self, K: int) -> None:
         if K < 0:
             raise ValueError("power K must be non-negative")
         self.K = K
-        self._registers: list[int] = [0] * (K + 1)
-        self._samples_seen = 0
+        self.registers: list[int] = [0] * (K + 1)
+        self.samples_seen = 0
         self._indices = range(K + 1)  # built once, not on every push
-        self._queue: list[int] | None = None  # a list only inside batched()
-
-    @property
-    def registers(self) -> list[int]:
-        """The register values A_1..A_{K+1}, every pushed sample applied.
-        The list is the cascade's own: inside ``batched()`` it lags the
-        pushes until the next read, so read it again, or take a
-        ``snapshot``."""
-        self._drain()
-        return self._registers
-
-    @property
-    def samples_seen(self) -> int:
-        """The number of samples pushed so far."""
-        self._drain()
-        return self._samples_seen
+        self._queue: list[int] | None = None  # a list only inside _batched()
 
     def push(self, sample: int) -> None:
         """Feed one sample through the cascade.
 
         Register k absorbs the already-updated value of register k-1 from
         this same step, so a single ascending pass with a carried value
-        realizes the whole recurrence. Inside ``batched()`` the sample is
+        realizes the whole recurrence. Inside ``_batched()`` the sample is
         queued instead, and a full queue is applied.
         """
         queue = self._queue
@@ -88,22 +67,23 @@ class Cascade:
             if len(queue) >= _CHUNK:
                 self._drain()
             return
-        registers = self._registers
+        registers = self.registers
         carry = sample
         for k in self._indices:
             carry = registers[k] = registers[k] + carry
-        self._samples_seen += 1
+        self.samples_seen += 1
 
     @contextmanager
-    def batched(self) -> Iterator[None]:
+    def _batched(self) -> Iterator[None]:
         """Queue pushed samples and advance the registers a chunk at a time:
         one C-level ``accumulate`` pass per register instead of a Python
-        loop per sample. Leaving the block, by an exception too, applies
-        every queued sample. Blocks do not nest. A sample the registers
-        cannot add (not a number) fails when its chunk is applied, at a
-        later push, read or the block's end, and that chunk is lost."""
-        if self._queue is not None:
-            raise RuntimeError("cascade is already batched")
+        loop per sample, with the same additions in the same order. Leaving
+        the block, by an exception too, applies every queued sample.
+
+        Inside the block ``registers`` and ``samples_seen`` lag the pushes,
+        so nothing may read the cascade there. Its only users,
+        ``cli.push_stream`` and ``selfcheck``, do nothing in it but push
+        ints, so every queued chunk applies in full."""
         self._queue = []
         try:
             yield
@@ -120,14 +100,14 @@ class Cascade:
         queue = self._queue
         if not queue:
             return
-        registers = self._registers
+        registers = self.registers
         carries: list[int] = queue
         for k in self._indices:
             values = accumulate(carries, initial=registers[k])
             next(values)  # the register's value before the chunk
             carries = list(values)
             registers[k] = carries[-1]
-        self._samples_seen += len(queue)
+        self.samples_seen += len(queue)
         queue.clear()
 
     def snapshot(self) -> list[int]:
@@ -145,9 +125,7 @@ class Cascade:
         """
         if coeffs.K > self.K:
             raise self._power_error(coeffs.K)
-        if self._queue:  # tested here, not in a call: running output finalizes per sample
-            self._drain()
-        n = self._samples_seen
+        n = self.samples_seen
         if coeffs.N != n:
             raise ValueError(f"coefficients are for N={coeffs.N}, cascade has seen {n} samples")
         # The combination for power P reads only registers 1..P+1 (map stops
@@ -155,7 +133,7 @@ class Cascade:
         # own. The products are added left to right, as a loop adds them;
         # sum() compensates float additions from Python 3.12 on, which would
         # change the results of floats pushed through the library.
-        return reduce(add, map(mul, coeffs.coeffs, self._registers))
+        return reduce(add, map(mul, coeffs.coeffs, self.registers))
 
     def _power_error(self, power: int) -> ValueError:
         return ValueError(f"coefficients are for power {power}, cascade has power {self.K}")

@@ -100,19 +100,20 @@ class SampleParseError(Exception):
 def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
-    The pushes run inside ``cascade.batched()``: besides the current line,
-    at most ``_CHUNK`` samples wait in the cascade's queue, and leaving the
-    block applies them, also when a parse error or an interrupt ends the
-    stream. Every sample is still one ``cascade.push`` call: the
-    benchmark's trace (``bench/traced.py``) counts those calls as samples
-    and derives the skipped lines from them.
+    The pushes run inside the cascade's private ``_batched()`` block, and
+    nothing reads the cascade there: besides the current line, at most
+    ``_CHUNK`` samples wait in its queue, and leaving the block applies
+    them, also when a parse error or an interrupt ends the stream. Every
+    sample is still one ``cascade.push`` call: the benchmark's trace
+    (``bench/traced.py``) counts those calls as samples and derives the
+    skipped lines from them.
 
     A sample is ASCII decimal text (``parse`` decides the literal form)
     with optional padding, and no ``_`` or non-ASCII character, which
     ``int`` and ``float`` would accept as digit separators and digits.
     """
     push = cascade.push
-    with cascade.batched():
+    with cascade._batched():
         for lineno, raw in enumerate(lines, start=1):
             if raw.isascii() and "_" not in raw:
                 # int() and float() skip the padding and the newline themselves

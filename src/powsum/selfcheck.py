@@ -1,12 +1,14 @@
 """Randomized checks of the whole pipeline, behind the ``selfcheck``
 CLI command.
 
-Each check tests one thing that ``moment`` relies on: the streamed result
-against the brute-force sum, the coefficients against the identity that
-defines them, and each register against its binomial weight. A check is
-a generator that yields ``None`` for each passing case and a
-counterexample for a failing one; the run stops at the first
-counterexample. Given the same seed, the run is fully deterministic.
+Each check tests one thing that ``moment`` relies on: the result streamed
+through ``moment``'s chunk kernel against the brute-force sum, the
+coefficients against the identity that defines them, and each register,
+pushed one sample at a time, against its binomial weight, so both ways of
+advancing the registers are checked. A check is a generator that yields
+``None`` for each passing case and a counterexample for a failing one;
+the run stops at the first counterexample. Given the same seed, the run
+is fully deterministic.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
         N = rng.randint(1, 48)
         v = [rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE) for _ in range(N)]
         cascade = Cascade(K)
-        for sample in v:
-            cascade.push(sample)
+        with cascade._batched():
+            for sample in v:
+                cascade.push(sample)
         streamed = cascade.finalize(coefficients_closed(K, N))
         expected = direct_sum(v, K)
         if streamed == expected:

@@ -302,15 +302,16 @@ CHUNK = cascade_module._CHUNK
 
 def run_batched(K, v):
     cascade = Cascade(K)
-    with cascade.batched():
+    with cascade._batched():
         for sample in v:
             cascade.push(sample)
     return cascade
 
 
 class TestBatched:
-    """Inside ``batched()`` samples queue and the registers advance a chunk
-    at a time; every read must equal the per-sample cascade's."""
+    """Inside ``_batched()`` samples queue and the registers advance a chunk
+    at a time; after the block every read must equal the per-sample
+    cascade's."""
 
     @settings(max_examples=60)
     @given(
@@ -371,42 +372,11 @@ class TestBatched:
         if v:
             assert batched.finalize(coefficients_closed(3, length)) == direct_sum(v, 3)
 
-    @settings(max_examples=60)
-    @given(
-        steps=st.lists(
-            st.one_of(samples, st.sampled_from(["finalize", "snapshot", "registers", "samples_seen"])),
-            max_size=40,
-        ),
-        K=st.integers(0, 4),
-        chunk=st.sampled_from([1, 2, 3, CHUNK]),
-    )
-    def test_reads_inside_the_block_see_every_pushed_sample(self, steps, K, chunk):
-        batched, plain = Cascade(K), Cascade(K)
-        pushed = []
-        with mock.patch.object(cascade_module, "_CHUNK", chunk), batched.batched():
-            for step in steps:
-                if isinstance(step, int):
-                    batched.push(step)
-                    plain.push(step)
-                    pushed.append(step)
-                elif step == "finalize":
-                    if pushed:
-                        coeffs = coefficients_closed(K, len(pushed))
-                        assert batched.finalize(coeffs) == direct_sum(pushed, K)
-                elif step == "snapshot":
-                    assert batched.snapshot() == plain.snapshot()
-                elif step == "registers":
-                    assert batched.registers == plain.registers
-                else:
-                    assert batched.samples_seen == len(pushed)
-        assert batched.registers == plain.registers
-        assert batched.samples_seen == len(pushed)
-
     def test_exception_inside_the_block_applies_every_pushed_sample(self):
         v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
         cascade = Cascade(2)
         with pytest.raises(KeyError):
-            with cascade.batched():
+            with cascade._batched():
                 for sample in v:
                     cascade.push(sample)
                 raise KeyError("stream ended")
@@ -418,25 +388,15 @@ class TestBatched:
     def test_queue_stays_below_one_chunk(self):
         # memory stays bounded: a full queue is applied by the push that fills it
         cascade = Cascade(2)
-        with cascade.batched():
+        with cascade._batched():
             for sample in range(3 * CHUNK):
                 cascade.push(sample)
                 assert len(cascade._queue) < CHUNK
 
-    def test_blocks_do_not_nest(self):
-        cascade = Cascade(1)
-        with cascade.batched():
-            cascade.push(3)
-            with pytest.raises(RuntimeError):
-                with cascade.batched():
-                    pass
-            cascade.push(4)
-        assert cascade.registers == [7, 10]
-
     def test_push_outside_the_block_is_immediate(self):
         ops = OpCount()
         cascade = Cascade(3)
-        with cascade.batched():
+        with cascade._batched():
             pass
         for n in range(1, 6):
             cascade.push(Counted(n, ops))

@@ -691,6 +691,21 @@ class TestSelfcheck:
         assert failed[0]["cases"] <= 60
         assert set(failed[0]["counterexample"]) == {"K", "N", "n", "coeffs"}
 
+    def test_fault_in_the_chunk_kernel_detected(self, monkeypatch, capsys):
+        # moment streams through Cascade._drain, not through per-sample push
+        drain = Cascade._drain
+
+        def drain_skipping_last_register(cascade):
+            last = cascade.registers[-1]
+            drain(cascade)
+            cascade.registers[-1] = last
+
+        monkeypatch.setattr(Cascade, "_drain", drain_skipping_last_register)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+
 
 @pytest.mark.parametrize(
     "argv",

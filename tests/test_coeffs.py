@@ -175,6 +175,17 @@ class TestStepping:
         assert all(type(c) is int for c in after.coeffs)  # floats would compare equal
 
 
+class TestSignedDifferences:
+    @given(values=st.lists(st.integers(-(10**30), 10**30), max_size=20))
+    def test_matches_definition(self, values):
+        # entry i is sum_{j<=i} (-1)^j C(i, j) values[j]
+        expected = [
+            sum((-1) ** j * math.comb(i, j) * values[j] for j in range(i + 1))
+            for i in range(len(values))
+        ]
+        assert signed_differences(values) == expected
+
+
 class TestIntPolynomial:
     def test_trailing_zeros_stripped_and_degree(self):
         assert IntPolynomial((1, 2, 0, 0)).coefficients == (1, 2)

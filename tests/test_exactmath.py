@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powsum.coeffs import signed_differences
 from powsum.exactmath import binomial
 from tests.helpers import (
     alternating_power_sum,
@@ -81,17 +80,6 @@ class TestStirling2:
                     for j in range(m + 1)
                 )
                 assert expansion == x**m, (m, x)
-
-
-class TestSignedDifferences:
-    @given(values=st.lists(st.integers(-(10**30), 10**30), max_size=20))
-    def test_matches_definition(self, values):
-        # entry i is sum_{j<=i} (-1)^j C(i, j) values[j]
-        expected = [
-            sum((-1) ** j * math.comb(i, j) * values[j] for j in range(i + 1))
-            for i in range(len(values))
-        ]
-        assert signed_differences(values) == expected
 
 
 class TestPowerSumIdentity:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import importlib.util
 import pkgutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import powsum
+from powsum import cli
 from powsum.costmodel import Counted, OpCount
 
 
@@ -219,3 +221,35 @@ def test_cascade_methods_the_tracer_wraps_exist():
     # bench/traced.py wraps these by name
     for method in ("push", "finalize", "moment_with_ops"):
         assert callable(getattr(powsum.Cascade, method, None)), method
+
+
+def test_cascade_surface():
+    cascade = powsum.Cascade(2)
+    public = {name for name in dir(cascade) if not name.startswith("_")}
+    assert public == {
+        "K",
+        "registers",
+        "samples_seen",
+        "push",
+        "snapshot",
+        "finalize",
+        "moment_with_ops",
+    }
+    # plain data: no read runs code to produce the cascade's state
+    assert {"registers", "samples_seen"} <= set(vars(cascade))
+    for name in ("registers", "samples_seen"):
+        assert not isinstance(getattr(powsum.Cascade, name, None), property), name
+
+
+def test_reads_never_write():
+    # snapshot, finalize and moment_with_ops leave the cascade as they found
+    # it, both before moment's reader has streamed into it and after
+    cascade = powsum.Cascade(3)
+    cascade.push(5)
+    for lines in ([], ["4\n", "# note\n", "-2\n", "9\n"]):
+        cli.push_stream(cascade, lines, int)
+        before = copy.deepcopy(vars(cascade))
+        cascade.snapshot()
+        cascade.finalize(powsum.coefficients_closed(3, cascade.samples_seen))
+        cascade.moment_with_ops(3)
+        assert vars(cascade) == before
