@@ -18,13 +18,17 @@ stirling_power_sum's closed form. alternating_power_sum takes its finite
 differences from powsum.coeffs.signed_differences, which
 TestSignedDifferences checks against its definition, and not from the
 Stirling numbers it is compared with.
+
+reference_finalize is the register combination in the form that pins
+its float results: the products added left to right by ``reduce``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul
 from typing import Sequence
 
 from powsum.coeffs import CoefficientSet, signed_differences
@@ -46,6 +50,12 @@ TABLE_GOLDEN: dict[int, list[str]] = {
         "-120",
     ],
 }
+
+
+def reference_finalize(coeffs: Sequence[int], registers: Sequence[int]) -> int:
+    """sum(c * r) over the weights and the registers they reach, added
+    left to right from the first product."""
+    return reduce(add, map(mul, coeffs, registers))
 
 
 def naive_power(n: int, K: int) -> int:

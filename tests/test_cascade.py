@@ -14,6 +14,8 @@ from powsum.costmodel import Counted, OpCount
 from powsum.exactmath import binomial
 from powsum.oracle import direct_sum
 
+from tests.helpers import reference_finalize
+
 samples = st.integers(-(10**6), 10**6)
 
 
@@ -290,6 +292,39 @@ class TestFloatCascade:
             left_to_right += product
         assert left_to_right != math.fsum(products)
         assert cascade.finalize(coefficients_closed(3, 3)) == left_to_right
+
+    def test_negative_zero_survives(self):
+        # The sum starts from the first product; 0 + -0.0 would give 0.0.
+        # Pushing -0.0 leaves 0.0 in the register (registers start at the
+        # int 0), so the register is set directly.
+        cascade = Cascade(0)
+        cascade.registers[0] = -0.0
+        cascade.samples_seen = 1
+        assert repr(cascade.finalize(coefficients_closed(0, 1))) == "-0.0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1.0, 1.0),
+                st.floats(-(10.0**8), 10.0**8),
+                st.floats(-(10.0**30), 10.0**30),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.integers(0, 8),
+        st.integers(0, 2),
+    )
+    def test_running_outputs_match_reference_bit_for_bit(self, v, power, extra):
+        # the running pattern on a cascade with `extra` registers beyond
+        # the power: every output is the left-to-right sum of the products
+        cascade = Cascade(power + extra)
+        for n, sample in enumerate(v, start=1):
+            cascade.push(sample)
+            coeffs = coefficients_closed(power, n)
+            expected = reference_finalize(coeffs.coeffs, cascade.registers)
+            assert repr(cascade.finalize(coeffs)) == repr(expected)
 
     def test_accepts_fractional_samples(self):
         cascade = run_cascade(1, [0.5, 0.25, -1.5])

@@ -706,6 +706,28 @@ class TestSelfcheck:
         failed = [check for check in report["checks"] if not check["passed"]]
         assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
 
+    def test_lost_full_chunk_detected(self, monkeypatch, capsys):
+        # nearly every sample of a moment stream is applied by the drain
+        # that push starts on a full queue; a push that clears the full
+        # queue instead loses those samples
+        push = Cascade.push
+
+        def push_clearing_full_queues(cascade, sample):
+            queue = cascade._queue
+            if queue is None:
+                return push(cascade, sample)
+            queue.append(sample)
+            if len(queue) >= _CHUNK:
+                queue.clear()
+
+        monkeypatch.setattr(Cascade, "push", push_clearing_full_queues)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+        counterexample = failed[0]["counterexample"]
+        assert counterexample["samples_seen"] < counterexample["N"]
+
 
 @pytest.mark.parametrize(
     "argv",
