@@ -10,7 +10,6 @@ end to end.
 from .cascade import Cascade, measure_cascade
 from .coeffs import (
     CoefficientSet,
-    IntPolynomial,
     coefficient_polynomials,
     coefficients_closed,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Cascade",
     "CoefficientSet",
     "ComplexityReport",
-    "IntPolynomial",
     "OpCount",
     "baseline_sum",
     "chain_power",

@@ -361,16 +361,38 @@ def _run_coeffs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _polynomial_text(coefficients: tuple[int, ...]) -> str:
+    """A polynomial in N, ``coefficients[i]`` multiplying N**i, in canonical
+    form: descending powers, explicit signs, no spaces, ``0`` for no terms.
+
+    Examples: ``N^2``, ``-2N-1``, ``12N^2+24N+14``, ``0``.
+    """
+    parts: list[str] = []
+    for power in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[power]
+        if c == 0:
+            continue
+        magnitude = abs(c)
+        if power == 0:
+            body = str(magnitude)
+        else:
+            variable = "N" if power == 1 else f"N^{power}"
+            body = variable if magnitude == 1 else f"{magnitude}{variable}"
+        sign = "-" if c < 0 else ("" if not parts else "+")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
 def _run_table(args: argparse.Namespace) -> int:
     """Print the coefficient polynomials c_1..c_{K+1} for K = 0..kmax.
 
-    Cells use the canonical polynomial form (descending powers of N,
-    explicit signs, no spaces), so they are directly comparable as strings.
+    Cells are coefficient_polynomials' tuples in _polynomial_text's
+    canonical form, so they are directly comparable as strings.
     """
     header = ["K"] + [f"c_{k}" for k in range(1, args.kmax + 2)]
     body = []
     for K in range(args.kmax + 1):
-        cells = [str(K)] + [str(poly) for poly in coefficient_polynomials(K)]
+        cells = [str(K)] + [_polynomial_text(poly) for poly in coefficient_polynomials(K)]
         cells += [""] * (len(header) - len(cells))
         body.append(cells)
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]

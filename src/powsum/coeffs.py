@@ -10,16 +10,16 @@ for each K and steps it to N+1 with K subtractions instead
 every caller of the running pattern shares the kept set, so no caller
 can change it under another, and concurrent callers always get correct
 sets. One symbolic route produces the same coefficients as integer
-polynomials in the sequence length N. A third route, through Stirling
-numbers of the second kind, lives in the tests as a reference, and the
-test suite pins all three equal.
+polynomials in the sequence length N, each a plain tuple of its
+coefficients; ``powsum table`` prints them as text. A third route,
+through Stirling numbers of the second kind, lives in the tests as a
+reference, and the test suite pins all three equal.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 
@@ -135,64 +135,16 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     return last
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial in N; ``coefficients[i]`` multiplies N**i.
-
-    Trailing zero coefficients are stripped on construction, so the zero
-    polynomial is the empty tuple and has degree -1.
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, n: int) -> int:
-        """Value at an integer point, by Horner's rule."""
-        total = 0
-        for c in reversed(self.coefficients):
-            total = total * n + c
-        return total
-
-    def __str__(self) -> str:
-        """Canonical form: descending powers, explicit signs, no spaces.
-
-        Examples: ``N^2``, ``-2N-1``, ``12N^2+24N+14``, ``0``.
-        """
-        if self.degree < 0:
-            return "0"
-        parts: list[str] = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
-                continue
-            magnitude = abs(c)
-            if power == 0:
-                body = str(magnitude)
-            else:
-                variable = "N" if power == 1 else f"N^{power}"
-                body = variable if magnitude == 1 else f"{magnitude}{variable}"
-            sign = "-" if c < 0 else ("" if not parts else "+")
-            parts.append(sign + body)
-        return "".join(parts)
-
-
-def coefficient_polynomials(K: int) -> list[IntPolynomial]:
+def coefficient_polynomials(K: int) -> list[tuple[int, ...]]:
     """All K+1 combination coefficients as integer polynomials in N.
 
+    Entry k-1 of the list is c_k as a tuple whose entry i multiplies N**i.
     Binomial-theorem expansion of (N+j)^K inside the closed form gives
     the N^i coefficient of c_k as C(K, i) times the closed form's
     alternating sum over j^(K-i), one difference table per i. The degrees
     fall as K - (k-1): the alternating sum acts as a finite-difference
-    operator on N and annihilates the higher powers.
+    operator on N and annihilates the higher powers. Each tuple ends at
+    that degree, whose coefficient C(K, k-1) (k-1)! (-1)^(k-1) is never 0.
     """
     if K < 0:
         raise ValueError("power K must be non-negative")
@@ -201,4 +153,4 @@ def coefficient_polynomials(K: int) -> list[IntPolynomial]:
         [math.comb(K, i) * d for d in signed_differences([j ** (K - i) for j in range(K + 1)])]
         for i in range(K + 1)
     ]
-    return [IntPolynomial(row) for row in zip(*columns)]
+    return [row[: K + 2 - k] for k, row in enumerate(zip(*columns), start=1)]

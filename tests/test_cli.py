@@ -602,6 +602,26 @@ class TestTable:
         header = capsys.readouterr().out.splitlines()[0].split()
         assert header == ["K", "c_1", "c_2", "c_3"]
 
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((), "0"),
+            ((1,), "1"),
+            ((-1,), "-1"),
+            ((0, 1), "N"),
+            ((0, 0, 1), "N^2"),
+            ((-1, -2), "-2N-1"),
+            ((14, 24, 12), "12N^2+24N+14"),
+            ((240, 120), "120N+240"),
+            ((-36, -24), "-24N-36"),
+            ((30, 70, 60, 20), "20N^3+60N^2+70N+30"),
+            ((0, -1), "-N"),
+            ((3, 0, 0, 1), "N^3+3"),
+        ],
+    )
+    def test_canonical_string(self, coeffs, text):
+        assert cli._polynomial_text(coeffs) == text
+
 
 class TestComplexity:
     def test_default_matches_reference_comparison(self, capsys):

@@ -84,6 +84,11 @@ class TestMeasurement:
         assert baseline.general_mults == 6
         assert baseline.additions == 2
 
+    def test_baseline_refuses_negative_power(self):
+        # without the check, K = -1 takes the K == 0 branch: the plain sum 12
+        with pytest.raises(ValueError):
+            baseline_sum([5, 7], -1)
+
 
 class TestComplexityTable:
     def test_cross_product_shape(self):

@@ -106,18 +106,34 @@ def test_costmodel_imports_neither_cascade_nor_oracle():
     assert not _package_imports("costmodel") & {"powsum.cascade", "powsum.oracle"}
 
 
-def test_costmodel_holds_only_the_model():
-    # output formats live in powsum.cli, the CSV writer beside the JSON one
-    tree = ast.parse((PACKAGE / "costmodel.py").read_text(encoding="utf-8"))
+def _absolute_imports(tree):
+    """The modules a parsed source file imports by absolute name."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
-    assert "csv" not in imported
+    return imported
+
+
+def test_costmodel_holds_only_the_model():
+    # output formats live in powsum.cli, the CSV writer beside the JSON one
+    tree = ast.parse((PACKAGE / "costmodel.py").read_text(encoding="utf-8"))
+    assert "csv" not in _absolute_imports(tree)
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "write_csv" not in defined
+
+
+def test_coeffs_holds_no_output_format():
+    # the coefficient polynomials are plain tuples; table's text for them
+    # lives in powsum.cli beside the other output formats
+    tree = ast.parse((PACKAGE / "coeffs.py").read_text(encoding="utf-8"))
+    assert not _absolute_imports(tree) & {"dataclasses", "json"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            assert "__str__" not in methods, node.name
 
 
 def _defined_functions(path):
@@ -177,7 +193,6 @@ def test_public_surface():
         "Cascade",
         "CoefficientSet",
         "ComplexityReport",
-        "IntPolynomial",
         "OpCount",
         "__version__",
         "baseline_sum",
