@@ -1,7 +1,10 @@
 import math
+import sys
+import threading
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powsum import coeffs
@@ -146,6 +149,8 @@ class TestStepping:
         for K, move in calls:
             N = lengths[K] = max(1, lengths.get(K, start) + move)
             assert coefficients_closed(K, N) == coefficients_stirling(K, N)
+        for K, run in coeffs._latest.items():
+            assert_one_run(run, K)
 
     def test_running_pattern_builds_one_table(self, monkeypatch):
         tables = []
@@ -160,19 +165,103 @@ class TestStepping:
             coefficients_closed(8, N)
         coefficients_closed(8, 100)
         assert tables == [9]
-        coefficients_closed(8, 50)
+        run = coeffs._latest[8]
+        assert coefficients_closed(8, 50) is run[50 - run[0].N]  # a step back inside the run
         coefficients_closed(8, 52)
-        coefficients_closed(3, 53)
-        assert tables == [9, 9, 9, 4]
+        assert tables == [9]
+        coefficients_closed(8, 1000)  # a jump past the run
+        coefficients_closed(3, 53)  # another power
+        assert tables == [9, 9, 4]
 
-    @pytest.mark.parametrize("K, N", [(8, 5.0), (8.0, 21)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(0, 12),
+        # sets a run at every K; 0 leaves fewer integers than one set, so
+        # a run is one set, as at K >= 1023 by default; None is the default
+        sets=st.sampled_from([0, 1, 2, 3, None]),
+        start=st.integers(1, 10**6),
+        moves=st.lists(
+            st.one_of(
+                st.just(0),  # the same N again
+                st.just(1),  # the running step
+                st.integers(-50, -1),  # back
+                st.integers(2, 4),  # ahead, inside a run of three
+                st.integers(5, 10**6),  # ahead
+            ),
+            max_size=20,
+        ),
+    )
+    def test_running_pattern_across_run_boundaries(self, K, sets, start, moves):
+        integers = coeffs._RUN_INTEGERS if sets is None else sets * (K + 1)
+        length = max(1, integers // (K + 1))
+        with mock.patch.object(coeffs, "_RUN_INTEGERS", integers):
+            coeffs._latest.clear()
+            # a fresh table at start, then four runs: three run boundaries
+            for N in range(start, start + 3 * length + 2):
+                assert coefficients_closed(K, N) == coefficients_stirling(K, N)
+            assert len(coeffs._latest[K]) == length
+            for move in moves:
+                N = max(1, N + move)
+                assert coefficients_closed(K, N) == coefficients_stirling(K, N)
+        assert_one_run(coeffs._latest[K], K)
+        assert len(coeffs._latest[K]) in (1, length)
+
+    def test_power_with_a_run_of_one_set(self):
+        K = 1023  # the first power at which a run holds one set by default
+        coeffs._latest.clear()
+        for N in range(5, 9):  # a fresh table, then three runs
+            kept = coefficients_closed(K, N)
+            assert coeffs._latest[K] == (kept,)
+            assert (kept.K, kept.N) == (K, N)
+            assert kept.coeffs[0] == N**K
+            assert kept.coeffs[K] == -math.factorial(K)
+
+    def test_threads_sharing_a_power_get_correct_sets(self):
+        # close starts keep the threads inside one run, so one thread's
+        # scan of the next run races the others' lookups in the last
+        K, calls, starts = 8, 300, [1, 2, 3, 5]
+        expected = {N: coefficients_stirling(K, N) for s in starts for N in range(s, s + calls)}
+        wrong, finished = [], []
+
+        def running(start):
+            for N in range(start, start + calls):
+                if coefficients_closed(K, N) != expected[N]:
+                    wrong.append(N)
+            finished.append(start)
+
+        coeffs._latest.clear()
+        threads = [threading.Thread(target=running, args=(start,)) for start in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == starts
+        assert wrong == []
+        assert_one_run(coeffs._latest[K], K)
+
+    # True == 1: a bool passed for an int would be kept in the sets built from it
+    @pytest.mark.parametrize("K, N", [(8, 5.0), (8.0, 21), (8, True), (True, 3)])
     def test_non_integer_arguments_leave_the_memo_exact(self, K, N):
         coefficients_closed(8, 20)  # the memo holds a set for K = 8
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^K and N must be integers"):
             coefficients_closed(K, N)
-        after = coefficients_closed(8, 6)
-        assert after == coefficients_stirling(8, 6)
-        assert all(type(c) is int for c in after.coeffs)  # floats would compare equal
+        for after in coefficients_closed(8, 6), coefficients_closed(1, 4):
+            assert after == coefficients_stirling(after.K, after.N)
+            assert type(after.K) is type(after.N) is int
+            assert all(type(c) is int for c in after.coeffs)  # floats would compare equal
+
+
+def assert_one_run(run, K):
+    """A kept run is a tuple of sets for K at consecutive lengths."""
+    assert type(run) is tuple and run
+    assert [s.K for s in run] == [K] * len(run)
+    assert [s.N for s in run] == list(range(run[0].N, run[0].N + len(run)))
 
 
 class TestSignedDifferences:
