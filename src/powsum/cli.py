@@ -49,7 +49,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Iterable, TextIO
 
-from .cascade import Cascade
+from .cascade import _CHUNK, Cascade
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
 from .selfcheck import run_selfcheck
@@ -103,8 +103,10 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     The pushes run inside the cascade's private ``_batched()`` block, and
     nothing reads the cascade there: besides the current line, at most
     ``_CHUNK`` samples wait in its queue, and leaving the block applies
-    them, also when a parse error or an interrupt ends the stream. Every
-    sample is still one ``cascade.push`` call: the benchmark's trace
+    them, also when a parse error or an interrupt ends the stream. The
+    block takes ints only, so ``parse`` returns ints: ``int`` itself, or
+    ``_scaled_float`` for ``--float``. Every sample is still one
+    ``cascade.push`` call: the benchmark's trace
     (``bench/traced.py``) counts those calls as samples and derives the
     skipped lines from them.
 
@@ -218,6 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     moment = sub.add_parser(
         "moment",
         help="compute sum(n^K * v[n]) over a sample stream in a single pass",
+        description="Compute sum(n^K * v[n]) over a sample stream in a single pass. "
+        "Each result's ops field is predict_cascade(K, N), the paper's operation "
+        "count; the chunked push makes K(K+1)/2 constant multiplications per "
+        f"{_CHUNK}-sample chunk beyond it.",
     )
     moment.set_defaults(run=_run_moment)
     moment.add_argument(

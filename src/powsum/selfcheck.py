@@ -2,7 +2,8 @@
 CLI command.
 
 Each check tests one thing that ``moment`` relies on: the result streamed
-through ``moment``'s chunk kernel against the brute-force sum, the
+through ``moment``'s chunk kernel, from zero and from non-zero registers,
+against the brute-force sum, the
 coefficients against the identity that defines them, and each register,
 pushed one sample at a time, against its binomial weight, so both ways of
 advancing the registers are checked. A check is a generator that yields
@@ -28,27 +29,41 @@ Cases = Iterator[dict[str, Any] | None]
 
 
 def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
-    for _ in range(TRIALS):
+    for trial in range(TRIALS):
         K = rng.randint(0, 8)
-        # Streams of up to four chunks: 3 in 4 cases fill at least one, so
+        # Streams of up to half a chunk, every fourth one a chunk longer, so
         # every seed runs the drain that push starts on a full queue, which
         # carries nearly every sample of a moment stream, as well as the
-        # drain of the partial chunk left when the block ends.
-        N = rng.randint(1, 4 * _CHUNK)
+        # drain of the partial chunk left when the block ends. All but every
+        # eighth stream push their first one to three samples one at a time
+        # before the block, so that its drains, full chunks included, carry
+        # non-zero registers; the eighth starts the block from zero, as
+        # moment does.
+        N = rng.randint(1, _CHUNK // 2) + (_CHUNK if trial % 4 == 0 else 0)
+        head = 0 if trial % 8 == 0 else rng.randint(1, 3)
         v = [rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE) for _ in range(N)]
         cascade = Cascade(K)
+        for sample in v[:head]:
+            cascade.push(sample)
         with cascade._batched():
-            for sample in v:
+            for sample in v[head:]:
                 cascade.push(sample)
         if cascade.samples_seen != N:
-            yield {"K": K, "N": N, "v": v, "samples_seen": cascade.samples_seen}
+            yield {"K": K, "N": N, "head": head, "v": v, "samples_seen": cascade.samples_seen}
             continue
         streamed = cascade.finalize(coefficients_closed(K, N))
         expected = direct_sum(v, K)
         if streamed == expected:
             yield None
         else:
-            yield {"K": K, "N": N, "v": v, "streamed": str(streamed), "expected": str(expected)}
+            yield {
+                "K": K,
+                "N": N,
+                "head": head,
+                "v": v,
+                "streamed": str(streamed),
+                "expected": str(expected),
+            }
 
 
 def _coefficients_reproduce_powers(rng: random.Random) -> Cases:

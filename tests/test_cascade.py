@@ -344,60 +344,52 @@ def run_batched(K, v):
 
 
 class TestBatched:
-    """Inside ``_batched()`` samples queue and the registers advance a chunk
-    at a time; after the block every read must equal the per-sample
+    """Inside ``_batched()`` int samples queue and the registers advance a
+    chunk at a time; after the block every read must equal the per-sample
     cascade's."""
 
-    @settings(max_examples=60)
+    @settings(max_examples=100, deadline=None)
     @given(
-        v=st.lists(samples, max_size=40),
-        K=st.integers(0, 6),
-        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+        K=st.integers(0, 40),
+        chunk=st.sampled_from([1, 2, 3, 5, 64, CHUNK]),
+        chunks=st.integers(0, 3),
+        offset=st.sampled_from([-1, 0, 1, 2]),
+        magnitude=st.sampled_from([1, 10**6, 10**18]),
+        seed=st.integers(0, 2**32 - 1),
+        before=st.lists(st.integers(-(10**18), 10**18), max_size=3),
+        after=st.lists(st.integers(-(10**18), 10**18), max_size=3),
     )
-    def test_ints_match_per_sample_push(self, v, K, chunk):
+    def test_ints_match_per_sample_push(
+        self, K, chunk, chunks, offset, magnitude, seed, before, after
+    ):
+        # up to three chunks of L samples, ending one sample short of a
+        # chunk boundary, on it, or one or two past it: drains of 1, 2, L-1
+        # and L samples, and streams of L and L+1. The plain pushes before
+        # the block make the carry start from non-zero registers, and those
+        # after it run on the carried ones.
+        rng = random.Random(seed)
+        length = max(0, chunks * chunk + offset)
+        v = [rng.randint(-magnitude, magnitude) for _ in range(length)]
+        batched = run_cascade(K, before)
         with mock.patch.object(cascade_module, "_CHUNK", chunk):
-            batched = run_batched(K, v)
-        plain = run_cascade(K, v)
+            with batched._batched():
+                for sample in v:
+                    batched.push(sample)
+        for sample in after:
+            batched.push(sample)
+        stream = before + v + after
+        plain = run_cascade(K, stream)
         assert batched.registers == plain.registers
-        assert batched.samples_seen == plain.samples_seen == len(v)
-        if v:
-            for P in range(K + 1):
-                coeffs = coefficients_closed(P, len(v))
-                assert batched.finalize(coeffs) == plain.finalize(coeffs) == direct_sum(v, P)
+        assert batched.samples_seen == plain.samples_seen == len(stream)
+        if stream:
+            coeffs = coefficients_closed(K, len(stream))
+            assert batched.finalize(coeffs) == direct_sum(stream, K)
 
-    @settings(max_examples=60)
-    @given(
-        v=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40),
-        K=st.integers(0, 6),
-        chunk=st.sampled_from([1, 2, 3, CHUNK]),
+    # partial chunks of assorted lengths, and streams around one and two
+    # chunk boundaries
+    @pytest.mark.parametrize(
+        "length", [0, 1, 511, 512, 513, 1025, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
     )
-    def test_floats_are_bit_identical(self, v, K, chunk):
-        with mock.patch.object(cascade_module, "_CHUNK", chunk):
-            batched = run_batched(K, v)
-        plain = run_cascade(K, v)
-        # repr tells -0.0 from 0.0, and round-trips every double
-        assert list(map(repr, batched.registers)) == list(map(repr, plain.registers))
-        coeffs = coefficients_closed(K, len(v))
-        assert repr(batched.finalize(coeffs)) == repr(plain.finalize(coeffs))
-
-    @settings(max_examples=40)
-    @given(
-        v=st.lists(samples, min_size=1, max_size=30),
-        K=st.integers(0, 6),
-        chunk=st.sampled_from([1, 2, 3, CHUNK]),
-    )
-    def test_counted_tallies_are_identical(self, v, K, chunk):
-        batched_ops, plain_ops = OpCount(), OpCount()
-        with mock.patch.object(cascade_module, "_CHUNK", chunk):
-            batched = run_batched(K, [Counted(sample, batched_ops) for sample in v])
-        plain = run_cascade(K, [Counted(sample, plain_ops) for sample in v])
-        assert batched_ops == plain_ops == OpCount(additions=(K + 1) * (len(v) - 1))
-        assert [r.value for r in batched.registers] == [r.value for r in plain.registers]
-        coeffs = coefficients_closed(K, len(v))
-        assert batched.finalize(coeffs).value == plain.finalize(coeffs).value == direct_sum(v, K)
-        assert batched_ops == plain_ops
-
-    @pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_streams_around_chunk_boundaries(self, length):
         rng = random.Random(length)
         v = [rng.randint(-(10**6), 10**6) for _ in range(length)]
@@ -419,6 +411,19 @@ class TestBatched:
         assert cascade.registers == run_cascade(2, v).registers
         cascade.push(5)  # immediate again
         assert cascade.samples_seen == len(v) + 1
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 5])
+    def test_failed_drain_leaves_the_cascade_unchanged(self, K):
+        cascade = run_cascade(K, [4, -9])
+        registers = cascade.snapshot()
+        with pytest.raises(TypeError):
+            with cascade._batched():
+                for sample in [1, "x", 2]:
+                    cascade.push(sample)
+        assert cascade.registers == registers
+        assert cascade.samples_seen == 2
+        cascade.push(5)  # immediate again
+        assert cascade.registers == run_cascade(K, [4, -9, 5]).registers
 
     def test_queue_stays_below_one_chunk(self):
         # memory stays bounded: a full queue is applied by the push that fills it

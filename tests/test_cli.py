@@ -726,6 +726,27 @@ class TestSelfcheck:
         failed = [check for check in report["checks"] if not check["passed"]]
         assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
 
+    def test_off_by_one_carry_weights_detected(self, monkeypatch, capsys):
+        # a drain that carries the old registers across a chunk of L
+        # samples with the weights of L+1, C(L+d, d) for C(L-1+d, d), adds
+        # C(L-1+d, d-1) * R_{k-d} to register k for each d >= 1: only a
+        # drain on non-zero registers shows it
+        drain = Cascade._drain
+
+        def drain_with_shifted_weights(cascade):
+            length, old = len(cascade._queue), cascade.snapshot()
+            drain(cascade)
+            if length:
+                for k in range(len(old)):
+                    shift = (math.comb(length - 1 + d, d - 1) * old[k - d] for d in range(1, k + 1))
+                    cascade.registers[k] += sum(shift)
+
+        monkeypatch.setattr(Cascade, "_drain", drain_with_shifted_weights)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+
     def test_lost_full_chunk_detected(self, monkeypatch, capsys):
         # nearly every sample of a moment stream is applied by the drain
         # that push starts on a full queue; a push that clears the full
