@@ -3,11 +3,14 @@
 Register k (one-based) holds a running weighted sum of the input whose
 weights are binomial coefficients of degree k-1 in the sample index, so a
 final weighted combination of the registers recovers sum(n**K * v[n])
-without ever storing the stream. Memory is K+1 registers, plus at most
-one chunk of 2048 queued samples while ``moment``'s reader runs,
-regardless of how many samples go by. ``moment`` advances the registers a
-chunk at a time: it scans the chunk from zero, then carries the old
-registers across it with the cascade's impulse response.
+without ever storing the stream. Memory is K+1 registers, plus, while
+``moment``'s reader runs, at most one chunk of 2048 queued samples and
+the block of up to 128 lines it reads at a time, regardless of how many
+samples go by; on a live pipe that reader reports a parse error once the
+bad line's block has been read, or at the end of input. ``moment``
+advances the registers a chunk at a time: it scans the chunk from zero,
+then carries the old registers across it with the cascade's impulse
+response.
 
 A cascade is single-writer: pushes must be serialized by the caller (the
 recurrence is inherently sequential). ``snapshot`` and ``finalize`` never

@@ -21,6 +21,10 @@ Stirling numbers it is compared with.
 
 reference_finalize is the register combination in the form that pins
 its float results: the products added left to right by ``reduce``.
+
+reference_samples is ``moment``'s line grammar read one line at a time,
+with each line's own ASCII and ``_`` checks: the reader that
+powsum.cli.push_stream replaced with one that checks a block at once.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, mul
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
+from powsum.cli import SampleParseError
 from powsum.coeffs import CoefficientSet, signed_differences
 
 # Canonical coefficient-polynomial strings for powers 0..5, index k-1
@@ -56,6 +61,35 @@ def reference_finalize(coeffs: Sequence[int], registers: Sequence[int]) -> int:
     """sum(c * r) over the weights and the registers they reach, added
     left to right from the first product."""
     return reduce(add, map(mul, coeffs, registers))
+
+
+# the characters below 128 that str.strip() removes
+ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+
+
+def reference_samples(lines: Iterable[str], parse: Callable[[str], int]) -> list[int]:
+    """The samples ``lines`` holds, in order, or the SampleParseError of its
+    first bad line: blanks and '#' comments are skipped, and a line with a
+    non-ASCII character or ``_`` holds no sample."""
+    samples = []
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.isascii() and "_" not in raw:
+            try:
+                value = parse(raw)
+            except ValueError:
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    value = parse(text)
+                except ValueError:
+                    raise SampleParseError(lineno, text) from None
+            samples.append(value)
+        else:
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                raise SampleParseError(lineno, raw.strip(ASCII_WHITESPACE))
+    return samples
 
 
 def naive_power(n: int, K: int) -> int:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pty
 import signal
 import struct
 import subprocess
@@ -22,6 +23,7 @@ from powsum import cli
 from powsum.cascade import _CHUNK, Cascade
 from powsum.coeffs import CoefficientSet, coefficients_closed
 from powsum.oracle import direct_sum
+from tests.helpers import reference_samples
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -104,6 +106,27 @@ class TestMoment:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "bogus" in err
+
+    # moment reads 128 lines at a time and applies its queued samples 2048 at
+    # a time: the first line, the edges of the first read block, and lines
+    # at the edges of read blocks where a queue chunk ends
+    @pytest.mark.parametrize("lineno", [1, 128, 129, 2048, 2049, 4097])
+    @pytest.mark.parametrize("bad", ["x", "\uff15"], ids=["ascii", "non-ascii"])
+    @pytest.mark.parametrize("source", ["stdin", "input"])
+    def test_parse_error_at_a_block_edge_names_its_line(
+        self, lineno, bad, source, tmp_path, monkeypatch, capsys
+    ):
+        lines = ["# note\n" if i % 97 == 0 else f"{i}\n" for i in range(1, 4200)]
+        lines[lineno - 1] = bad + "\n"
+        if source == "stdin":
+            code = run_cli(["moment", "-K", "1"], "".join(lines), monkeypatch)
+        else:
+            path = tmp_path / "samples.txt"
+            path.write_text("".join(lines), encoding="utf-8")
+            code = cli.main(["moment", "-K", "1", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: line {lineno}: cannot parse sample {bad!r}\n"
 
     def test_float_literal_rejected_on_exact_path(self, monkeypatch, capsys):
         assert run_cli(["moment", "-K", "1"], "1.5\n", monkeypatch) == 2
@@ -497,6 +520,70 @@ def sample_files(draw):
     return "".join(line + end for line, end in zip(lines, endings)), samples
 
 
+# Lines the reader must read as the reference does: a sign, a digit
+# separator, ASCII separators as padding, non-ASCII digits and padding, text
+# after a sample, a space after the sign, two samples on a line, padded
+# blanks and comments, a non-ASCII comment, and words and literals that only
+# one of int and float takes
+TRICKY_LINES = [
+    "+5", "1_0", "\x1c5\x1f", "\u0661\u0662", "\uff15", "\u00a05", "5 # x", "- 5", "1 2",
+    "", " \t ", "\x0b\x0c ", "# note", "  # x", "# caf\u00e9", "\u00a0", "x", "1.5", "1e3",
+    "nan", "-inf", "-0", " 7 ",
+]
+
+
+@st.composite
+def reader_lines(draw):
+    """Lines with their line endings: padded samples, blanks and comments,
+    among them up to two odd lines, each once or twice."""
+    text = st.text(st.characters(blacklist_characters="\n\r"), max_size=4)
+    good = st.one_of(
+        st.builds(lambda pad, value: pad + str(value), padding, st.integers(-(10**20), 10**20)),
+        padding,
+        st.builds(lambda pad, comment: pad + "#" + comment, padding, text),
+    )
+    lines = draw(st.lists(good, max_size=12))
+    for odd in draw(st.lists(st.one_of(st.sampled_from(TRICKY_LINES), text), max_size=2)):
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), odd)
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if endings and draw(st.booleans()):
+        endings[-1] = ""  # no final newline
+    return [line + end for line, end in zip(lines, endings)]
+
+
+class RecordingCascade(Cascade):
+    """A cascade that also keeps every pushed sample, in order."""
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.pushed = []
+
+    def push(self, sample):
+        self.pushed.append(sample)
+        super().push(sample)
+
+
+class Terminal:
+    """Lines as a terminal gives them: it goes on reading after an end of
+    input, so a read past the end fails here instead of waiting."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.ended = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        assert not self.ended, "read again after the end of input"
+        try:
+            return next(self._lines)
+        except StopIteration:
+            self.ended = True
+            raise
+
+
 class TestPushStream:
     @given(sample_files())
     def test_matches_direct_sum(self, file):
@@ -538,6 +625,56 @@ class TestPushStream:
             cli.push_stream(cascade, lines, int)
         assert cascade.samples_seen == len(samples)
         assert cascade.finalize(coefficients_closed(3, len(samples))) == direct_sum(samples, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reader_lines(), st.sampled_from([int, cli._scaled_float]))
+    @example(["1\n", "x\n", "2\n", "x\n"], int)  # a bad line repeated in its block
+    @example(["\uff15\n", "3\n", "\uff15\n"], int)
+    @example(["2\n", "1_0\n", "3\n"], int)  # a digit separator in an ASCII block
+    @example(["\x1c5\x1f\r\n", "+5\n", " \t\n", "5 # x"], int)
+    @example(["# caf\u00e9\n", "4\n", "x\n", "x"], cli._scaled_float)
+    def test_pushes_what_the_line_at_a_time_reference_reads(self, lines, parse):
+        try:
+            expected, error = reference_samples(lines, parse), None
+        except cli.SampleParseError as exc:
+            error = str(exc)
+            lineno = int(error.split(":")[0].removeprefix("line "))
+            expected = reference_samples(lines[: lineno - 1], parse)
+        for block in (1, 2, 3, 5, cli._READ_BLOCK):
+            cascade = RecordingCascade(1)
+            with mock.patch.object(cli, "_READ_BLOCK", block):
+                if error is None:
+                    cli.push_stream(cascade, iter(lines), parse)
+                else:
+                    with pytest.raises(cli.SampleParseError) as raised:
+                        cli.push_stream(cascade, iter(lines), parse)
+                    assert str(raised.value) == error
+            assert cascade.pushed == expected
+
+    @pytest.mark.parametrize("n_lines", [0, 5, cli._READ_BLOCK, _CHUNK + 3])
+    def test_reads_a_generator_by_iteration_each_line_once(self, n_lines):
+        # the benchmark's trace counts lines by iterating them
+        read = []
+
+        def generate():
+            for i in range(n_lines):
+                line = "# note\n" if i % 5 == 0 else f"{i}\n"
+                read.append(line)
+                yield line
+
+        lines = generate()
+        assert not hasattr(lines, "readlines")
+        cascade = Cascade(1)
+        cli.push_stream(cascade, lines, int)
+        assert read == ["# note\n" if i % 5 == 0 else f"{i}\n" for i in range(n_lines)]
+        assert cascade.samples_seen == n_lines - len(range(0, n_lines, 5))
+
+    @pytest.mark.parametrize("n_lines", [0, 5, cli._READ_BLOCK, 2 * cli._READ_BLOCK, _CHUNK + 3])
+    def test_reads_once_past_the_last_line(self, n_lines):
+        cascade = Cascade(1)
+        lines = Terminal(f"{i}\n" for i in range(n_lines))
+        cli.push_stream(cascade, lines, int)
+        assert lines.ended and cascade.samples_seen == n_lines
 
 
 class TestCoeffs:
@@ -820,6 +957,30 @@ def test_sigint_exits_130_without_traceback():
         os.close(read_end)
     assert (process.returncode, out, err) == (130, b"", b"")
     assert cli.EXIT_INTERRUPTED == 130  # 128 + SIGINT
+
+
+
+def test_terminal_input_ends_at_the_first_eof():
+    # a terminal goes on reading after an EOF (Ctrl-D), so moment must not
+    # read again once a short block has ended the input
+    leader, follower = pty.openpty()
+    try:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "powsum", "moment", "-K", "1", "--format", "plain"],
+            stdin=follower,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        os.write(leader, b"3\n4\n\x04")
+        try:
+            out, err = process.communicate(timeout=30)
+        finally:
+            process.kill()
+            process.wait()
+    finally:
+        os.close(follower)
+        os.close(leader)
+    assert (process.returncode, out, err) == (0, b"1 4\n", b"")
 
 
 def _unread_bytes(fd):
