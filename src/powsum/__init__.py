@@ -14,13 +14,9 @@ from .coeffs import (
     coefficients_closed,
 )
 from .costmodel import (
-    AdditionChain,
-    ComplexityReport,
     OpCount,
     baseline_sum,
-    chain_power,
     complexity_table,
-    optimal_chain,
     predict_baseline,
     predict_cascade,
 )
@@ -30,19 +26,15 @@ from .selfcheck import run_selfcheck
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditionChain",
     "Cascade",
     "CoefficientSet",
-    "ComplexityReport",
     "OpCount",
     "baseline_sum",
-    "chain_power",
     "coefficient_polynomials",
     "coefficients_closed",
     "complexity_table",
     "direct_sum",
     "measure_cascade",
-    "optimal_chain",
     "predict_baseline",
     "predict_cascade",
     "run_selfcheck",

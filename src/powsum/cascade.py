@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .coeffs import CoefficientSet, coefficients_closed
+from .coeffs import CoefficientSet, _check_power, coefficients_closed
 from .costmodel import Counted, OpCount, predict_cascade
 
 # Samples queued inside _batched() before the registers advance. A drain
@@ -53,8 +53,7 @@ class Cascade:
     """
 
     def __init__(self, K: int) -> None:
-        if K < 0:
-            raise ValueError("power K must be non-negative")
+        _check_power(K)
         self.K = K
         self.registers: list[int] = [0] * (K + 1)
         self.samples_seen = 0

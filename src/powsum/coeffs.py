@@ -43,9 +43,18 @@ def signed_differences(values: Sequence[int]) -> list[int]:
     return leading
 
 
-def _check_domain(K: int, N: int) -> None:
+def _check_power(K: int) -> None:
+    """``TypeError`` unless K is exactly an int, not a bool; ``ValueError`` if negative."""
+    if type(K) is not int:
+        raise TypeError(f"power K must be an int, got {K!r}")
     if K < 0:
         raise ValueError("power K must be non-negative")
+
+
+def _check_domain(K: int, N: int) -> None:
+    _check_power(K)
+    if type(N) is not int:
+        raise TypeError(f"sequence length N must be an int, got {N!r}")
     if N < 1:
         raise ValueError("sequence length N must be positive")
 
@@ -59,9 +68,9 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
 
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
     zero-based, so ``coeffs[i]`` holds c_{i+1}. An immutable named tuple
-    ``(K, N, coeffs)``: the constructor checks its arguments, and
-    :meth:`step` and the running pattern's scan build the next sets
-    directly, without checking again what the scan guarantees.
+    ``(K, N, coeffs)``: the constructor checks its arguments, and the
+    running pattern's scan builds the next sets directly, without
+    checking again what the scan guarantees.
     """
 
     __slots__ = ()
@@ -76,16 +85,6 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
     def _make(cls, iterable: Iterable[Any]) -> CoefficientSet:
         # namedtuple's own builder, which _replace calls too, skips __new__.
         return cls(*iterable)
-
-    def step(self) -> CoefficientSet:
-        """The set for the same K and length N+1, in K subtractions.
-
-        The one-set case of the scan that ``coefficients_closed`` runs for
-        the running pattern; called alone it pays that scan's fixed cost
-        per column, 7 to 13 us at K = 8 against about 1.8 us for the plain
-        loop it replaced (2-core Xeon VM, Python 3.11.7).
-        """
-        return _scan(self, 1)[0]
 
 
 def _scan(last: CoefficientSet, length: int) -> tuple[CoefficientSet, ...]:
@@ -171,8 +170,7 @@ def coefficient_polynomials(K: int) -> list[tuple[int, ...]]:
     operator on N and annihilates the higher powers. Each tuple ends at
     that degree, whose coefficient C(K, k-1) (k-1)! (-1)^(k-1) is never 0.
     """
-    if K < 0:
-        raise ValueError("power K must be non-negative")
+    _check_power(K)
     # columns[i][k-1] is the coefficient of N^i in c_k
     columns = [
         [math.comb(K, i) * d for d in signed_differences([j ** (K - i) for j in range(K + 1)])]

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
-from .coeffs import _check_domain
+from .coeffs import _check_domain, _check_power
 
 # Exhaustive chain search is exponential in chain length; this keeps
 # worst-case searches at desk scale (well under a second).
@@ -98,36 +98,6 @@ def predict_cascade(K: int, N: int) -> OpCount:
     return OpCount(general_mults=0, constant_mults=K + 1, additions=(K + 1) * N - 1)
 
 
-@dataclass(frozen=True)
-class AdditionChain:
-    """An addition chain for a positive exponent.
-
-    ``steps[i]`` is a pair (a, b) of indices into the chain built so far
-    (position 0 holds 1), and appends chain[a] + chain[b]. The number of
-    steps is the number of multiplications needed to raise a value to the
-    target exponent.
-    """
-
-    target: int
-    steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.exponents()[-1] != self.target:
-            raise ValueError("chain does not end at the target exponent")
-
-    def exponents(self) -> list[int]:
-        """Replay the steps into the exponent sequence, starting from 1."""
-        values = [1]
-        for i, (a, b) in enumerate(self.steps):
-            if not (0 <= a <= i and 0 <= b <= i):
-                raise ValueError("step references a chain position not built yet")
-            values.append(values[a] + values[b])
-        return values
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 def _search_chain(
     values: list[int], steps: list[tuple[int, int]], target: int, remaining: int
 ) -> list[tuple[int, int]] | None:
@@ -161,8 +131,14 @@ def _search_chain(
 
 
 @lru_cache(maxsize=None)
-def optimal_chain(K: int) -> AdditionChain:
+def optimal_chain(K: int) -> tuple[tuple[int, int], ...]:
     """A minimal-length addition chain for K, by exhaustive search.
+
+    The chain is a tuple of steps. Position 0 holds the exponent 1, and
+    step i, a pair (a, b) of positions 0 to i, appends the sum of the
+    exponents at a and b; the last one appended is K, and K = 1 takes no
+    step, (). The number of steps is the number of multiplications needed
+    to raise a value to the K-th power.
 
     Iterative deepening from the log2 lower bound guarantees minimality;
     within the minimal length, the lexicographically smallest step
@@ -172,21 +148,13 @@ def optimal_chain(K: int) -> AdditionChain:
     if not 1 <= K <= MAX_CHAIN_TARGET:
         raise ValueError(f"chain target must be in [1, {MAX_CHAIN_TARGET}]")
     if K == 1:
-        return AdditionChain(target=1, steps=())
+        return ()
     lower = (K - 1).bit_length()  # ceil(log2 K) for K >= 2
     for length in count(lower):
         steps = _search_chain([1], [], K, length)
         if steps is not None:
-            return AdditionChain(target=K, steps=tuple(steps))
+            return tuple(steps)
     raise AssertionError("unreachable: doubling always reaches the target")
-
-
-def chain_power(n: int, chain: AdditionChain) -> int:
-    """n ** chain.target using exactly len(chain) multiplications."""
-    powers = [n]
-    for a, b in chain.steps:
-        powers.append(powers[a] * powers[b])
-    return powers[-1]
 
 
 def baseline_sum(v: Sequence[int], K: int) -> tuple[int, OpCount]:
@@ -200,15 +168,17 @@ def baseline_sum(v: Sequence[int], K: int) -> tuple[int, OpCount]:
     streaming implementation would not special-case it. Accumulation
     costs N - 1 additions.
     """
-    if K < 0:
-        raise ValueError("power K must be non-negative")
+    _check_power(K)
     ops = OpCount()
-    chain = optimal_chain(K) if K >= 1 else None
+    steps = optimal_chain(K) if K >= 1 else None
     total: Counted | int = 0
     for n, sample in enumerate(v):
         term = Counted(sample, ops)
-        if chain is not None:
-            term = chain_power(Counted(n, ops), chain) * term
+        if steps is not None:
+            powers = [Counted(n, ops)]
+            for a, b in steps:
+                powers.append(powers[a] * powers[b])
+            term = powers[-1] * term
         total += term
     return int(total), ops
 

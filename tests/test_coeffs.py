@@ -92,7 +92,9 @@ class TestCoefficientSetContract:
         assert coefficients_closed(2, 3) == CoefficientSet(2, 3, (9, -7, 2))
 
     def test_equal_sets_hash_equal(self):
-        stepped = coefficients_stirling(4, 6).step()
+        coeffs._latest.clear()
+        coefficients_closed(4, 6)
+        stepped = coefficients_closed(4, 7)  # scanned from the set for N = 6
         fresh = coefficients_stirling(4, 7)
         assert stepped == fresh
         assert hash(stepped) == hash(fresh)
@@ -102,31 +104,28 @@ class TestCoefficientSetContract:
     def test_repr(self):
         text = "CoefficientSet(K=2, N=3, coeffs=(9, -7, 2))"
         assert repr(CoefficientSet(2, 3, (9, -7, 2))) == text
-        assert repr(coefficients_closed(0, 4).step()) == "CoefficientSet(K=0, N=5, coeffs=(1,))"
+        coeffs._latest.clear()
+        coefficients_closed(0, 4)
+        assert repr(coefficients_closed(0, 5)) == "CoefficientSet(K=0, N=5, coeffs=(1,))"
 
 
 class TestStepping:
-    @given(
-        st.sampled_from([coefficients_closed, coefficients_stirling]),
-        st.integers(0, 24),
-        st.integers(1, 10**12),
-        st.integers(0, 50),
-    )
-    def test_steps_match_stirling(self, route, K, start, steps):
-        coefficients = route(K, start)
-        for N in range(start + 1, start + steps + 1):
-            coefficients = coefficients.step()
-            assert coefficients == coefficients_stirling(K, N)
+    @given(st.integers(0, 24), st.integers(1, 10**12), st.integers(0, 50))
+    def test_steps_match_stirling(self, K, start, steps):
+        coeffs._latest.clear()  # the first call builds a table, the next ones scan
+        for N in range(start, start + steps + 1):
+            assert coefficients_closed(K, N) == coefficients_stirling(K, N)
 
     def test_power_zero_stays_one(self):
-        assert CoefficientSet(0, 9, (1,)).step() == CoefficientSet(0, 10, (1,))
+        coeffs._latest.clear()
+        assert coefficients_closed(0, 9) == CoefficientSet(0, 9, (1,))
+        assert coefficients_closed(0, 10) == CoefficientSet(0, 10, (1,))
 
     @pytest.mark.parametrize("K", [1, 2, 7, 24])
     def test_last_coefficient_stays_signed_factorial(self, K):
-        coefficients = coefficients_closed(K, 5)
-        for _ in range(3):
-            coefficients = coefficients.step()
-            assert coefficients.coeffs[K] == (-1) ** K * math.factorial(K)
+        coeffs._latest.clear()
+        for N in range(5, 9):
+            assert coefficients_closed(K, N).coeffs[K] == (-1) ** K * math.factorial(K)
 
     @given(
         st.integers(1, 10**6),

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -189,20 +190,16 @@ def test_every_public_name_resolves():
 
 def test_public_surface():
     assert sorted(powsum.__all__) == [
-        "AdditionChain",
         "Cascade",
         "CoefficientSet",
-        "ComplexityReport",
         "OpCount",
         "__version__",
         "baseline_sum",
-        "chain_power",
         "coefficient_polynomials",
         "coefficients_closed",
         "complexity_table",
         "direct_sum",
         "measure_cascade",
-        "optimal_chain",
         "predict_baseline",
         "predict_cascade",
         "run_selfcheck",
@@ -236,6 +233,50 @@ def test_cascade_methods_the_tracer_wraps_exist():
     # bench/traced.py wraps these by name
     for method in ("push", "finalize", "moment_with_ops"):
         assert callable(getattr(powsum.Cascade, method, None)), method
+
+
+def test_op_counts_convert_with_asdict():
+    # bench/run.py records predictions with exactly this call
+    assert dataclasses.asdict(powsum.predict_cascade(2, 3)) == {
+        "general_mults": 0,
+        "constant_mults": 3,
+        "additions": 8,
+    }
+
+
+# every public entry point that takes a power K, called as (K, N); N is
+# ignored by those that take no length
+POWER_TAKERS = {
+    "Cascade": lambda K, N: powsum.Cascade(K),
+    "coefficient_polynomials": lambda K, N: powsum.coefficient_polynomials(K),
+    "baseline_sum": lambda K, N: powsum.baseline_sum([3, 1, 4], K),
+    "predict_cascade": powsum.predict_cascade,
+    "predict_baseline": powsum.predict_baseline,
+    "CoefficientSet": lambda K, N: powsum.CoefficientSet(K, N, (9, -7, 2)),
+    "coefficients_closed": powsum.coefficients_closed,
+}
+LENGTH_TAKERS = ["predict_cascade", "predict_baseline", "CoefficientSet", "coefficients_closed"]
+
+
+# True == 1 and 2.0 == 2 would pass a range check, and a bool would be kept as K
+@pytest.mark.parametrize("K", [True, 2.0, "3"])
+@pytest.mark.parametrize("name", POWER_TAKERS)
+def test_power_that_is_not_exactly_an_int_is_refused(name, K):
+    with pytest.raises(TypeError):
+        POWER_TAKERS[name](K, 3)
+
+
+@pytest.mark.parametrize("name", POWER_TAKERS)
+def test_negative_power_is_refused(name):
+    with pytest.raises(ValueError, match="^power K must be non-negative$"):
+        POWER_TAKERS[name](-1, 3)
+
+
+@pytest.mark.parametrize("N", [True, 3.0])
+@pytest.mark.parametrize("name", LENGTH_TAKERS)
+def test_length_that_is_not_exactly_an_int_is_refused(name, N):
+    with pytest.raises(TypeError):
+        POWER_TAKERS[name](2, N)
 
 
 def test_cascade_surface():
