@@ -11,9 +11,10 @@ Subcommands:
 An out-of-range or malformed argument is a usage error naming the flag,
 refused before any input is read: ``-K`` of ``moment`` and ``coeffs`` is
 0..2000, ``coeffs -N`` 1..10**18, ``table --kmax`` 0..100, ``complexity
---Ks`` 0..64, and ``--expect-n`` and ``--Ns`` at least 1; a ``--Ks`` or
-``--Ns`` list holds at least one integer. The sum of (K+1)**3 over the
-distinct ``-K`` of ``moment`` is at most twice that of ``-K 2000``.
+--Ks`` 0..64, ``--expect-n`` and ``--Ns`` at least 1, and ``selfcheck
+--seed`` at least 0; a ``--Ks`` or ``--Ns`` list holds at least one
+integer. The sum of (K+1)**3 over the distinct ``-K`` of ``moment`` is at
+most twice that of ``-K 2000``.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage or parse error,
 3 empty input where samples were required, 130 interrupted by SIGINT
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck_cmd = sub.add_parser("selfcheck", help="run randomized consistency checks")
     selfcheck_cmd.set_defaults(run=_run_selfcheck)
-    selfcheck_cmd.add_argument("--seed", type=_decimal_int, default=0)
+    selfcheck_cmd.add_argument("--seed", type=_int_in(0), default=0)
 
     return parser
 

@@ -68,9 +68,9 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
 
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
     zero-based, so ``coeffs[i]`` holds c_{i+1}. An immutable named tuple
-    ``(K, N, coeffs)``: the constructor checks its arguments, and the
-    running pattern's scan builds the next sets directly, without
-    checking again what the scan guarantees.
+    ``(K, N, coeffs)``: the constructor checks its arguments, and
+    ``coefficients_closed`` builds its sets directly, once it has checked
+    K and N, without checking again what its table or scan guarantees.
     """
 
     __slots__ = ()
@@ -139,22 +139,21 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     and keeps it as a run of one. The sets and runs are immutable and a
     dict read or write is atomic, so concurrent callers always get
     correct sets; at worst a racing caller builds a table again. A K or N
-    that is not exactly an int, a bool or a float for instance, raises
-    ``TypeError``, so no kept run is built or scanned from one.
+    that is not exactly an int, a bool or a float for instance, never
+    reads a kept run: it raises the ``TypeError`` every entry point does.
     """
-    if not (type(K) is int and type(N) is int):
-        raise TypeError(f"K and N must be integers, got {K!r} and {N!r}")
-    run = _latest.get(K)
-    if run is not None:
-        at = N - run[0].N
-        if 0 <= at < len(run):
-            return run[at]
-        if at == len(run):
-            _latest[K] = run = _scan(run[-1], max(1, _RUN_INTEGERS // (K + 1)))
-            return run[0]
+    if type(K) is int and type(N) is int:
+        run = _latest.get(K)
+        if run is not None:
+            at = N - run[0].N
+            if 0 <= at < len(run):
+                return run[at]
+            if at == len(run):
+                _latest[K] = run = _scan(run[-1], max(1, _RUN_INTEGERS // (K + 1)))
+                return run[0]
     _check_domain(K, N)
     differences = signed_differences([(N + j) ** K for j in range(K + 1)])
-    last = CoefficientSet(K, N, tuple(differences))
+    last = _new_set(CoefficientSet, (K, N, tuple(differences)))
     _latest[K] = (last,)
     return last
 

@@ -145,6 +145,7 @@ def optimal_chain(K: int) -> tuple[tuple[int, int], ...]:
     sequence (over increasing chains, pairs ordered (a, b) with a <= b)
     is returned.
     """
+    _check_power(K)
     if not 1 <= K <= MAX_CHAIN_TARGET:
         raise ValueError(f"chain target must be in [1, {MAX_CHAIN_TARGET}]")
     if K == 1:

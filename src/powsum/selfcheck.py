@@ -112,7 +112,13 @@ def _report(name: str, cases: Cases) -> dict[str, Any]:
 
 
 def run_selfcheck(seed: int = 0) -> dict[str, Any]:
-    """Run every consistency check and return a JSON-ready report."""
+    """Run every consistency check and return a JSON-ready report.
+
+    The seed is at least 0: ``random.Random`` seeds -5 as it does 5, so a
+    negative seed would rerun another seed's cases under its own name.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     # The randomized checks share one generator and run in this order, so
     # a seed fixes every case.

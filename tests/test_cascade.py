@@ -11,7 +11,6 @@ from powsum import coeffs as coeffs_module
 from powsum.cascade import Cascade
 from powsum.coeffs import coefficients_closed
 from powsum.costmodel import Counted, OpCount
-from powsum.exactmath import binomial
 from powsum.oracle import direct_sum
 
 from tests.helpers import reference_finalize
@@ -83,7 +82,7 @@ class TestImpulseResponse:
                     impulse = [1 if n == m else 0 for n in range(N)]
                     snapshot = run_cascade(K, impulse).snapshot()
                     expected = [
-                        binomial((N - 1 - m) + k - 1, k - 1) for k in range(1, K + 2)
+                        math.comb((N - 1 - m) + k - 1, k - 1) for k in range(1, K + 2)
                     ]
                     assert snapshot == expected, (K, m, N)
 
@@ -97,7 +96,7 @@ class TestConvolutionForm:
                 snapshot = run_cascade(K, v).snapshot()
                 for k in range(1, K + 2):
                     expected = sum(
-                        binomial(N - n + k - 2, k - 1) * v[n] for n in range(N)
+                        math.comb(N - n + k - 2, k - 1) * v[n] for n in range(N)
                     )
                     assert snapshot[k - 1] == expected, (K, N, k)
 

@@ -15,7 +15,6 @@ from powsum.coeffs import (
     coefficients_closed,
     signed_differences,
 )
-from powsum.exactmath import binomial
 from tests.helpers import TABLE_GOLDEN, coefficients_stirling, solve_exact
 
 
@@ -172,6 +171,16 @@ class TestStepping:
         coefficients_closed(3, 53)  # another power
         assert tables == [9, 9, 4]
 
+    def test_fresh_set_checked_once_kept_set_never(self):
+        coeffs._latest.clear()
+        with mock.patch.object(coeffs, "_check_domain", wraps=coeffs._check_domain) as check:
+            coefficients_closed(8, 20)  # a fresh table
+            assert check.call_count == 1
+            coefficients_closed(8, 20)  # the kept set
+            coefficients_closed(8, 21)  # the next run, scanned from the kept set
+            coefficients_closed(8, 22)  # inside that run
+            assert check.call_count == 1
+
     @settings(max_examples=40, deadline=None)
     @given(
         K=st.integers(0, 12),
@@ -248,7 +257,7 @@ class TestStepping:
     @pytest.mark.parametrize("K, N", [(8, 5.0), (8.0, 21), (8, True), (True, 3)])
     def test_non_integer_arguments_leave_the_memo_exact(self, K, N):
         coefficients_closed(8, 20)  # the memo holds a set for K = 8
-        with pytest.raises(TypeError, match="^K and N must be integers"):
+        with pytest.raises(TypeError, match="^(power K|sequence length N) must be an int, got "):
             coefficients_closed(K, N)
         for after in coefficients_closed(8, 6), coefficients_closed(1, 4):
             assert after == coefficients_stirling(after.K, after.N)
@@ -308,7 +317,7 @@ class TestDefiningIdentity:
                 for n in range(N):
                     lhs = n**K
                     rhs = sum(
-                        cs[k - 1] * binomial(N - n + k - 2, k - 1) for k in range(1, K + 2)
+                        cs[k - 1] * math.comb(N - n + k - 2, k - 1) for k in range(1, K + 2)
                     )
                     assert lhs == rhs, (K, N, n)
 
@@ -319,7 +328,7 @@ class TestDefiningIdentity:
                 cs = coefficients_closed(K, N).coeffs
                 for n in range(N):
                     rhs = sum(
-                        cs[k - 1] * binomial(N - n + k - 2, k - 1) for k in range(1, K + 2)
+                        cs[k - 1] * math.comb(N - n + k - 2, k - 1) for k in range(1, K + 2)
                     )
                     assert rhs == n**K, (K, N, n)
 
@@ -331,7 +340,7 @@ class TestUniqueness:
         for K in range(7):
             N = K + 1
             matrix = [
-                [binomial(N - n + k - 2, k - 1) for k in range(1, K + 2)] for n in range(N)
+                [math.comb(N - n + k - 2, k - 1) for k in range(1, K + 2)] for n in range(N)
             ]
             rhs = [n**K for n in range(N)]
             solution = solve_exact(matrix, rhs)  # raises ValueError if singular
@@ -344,7 +353,7 @@ class TestUniqueness:
 
         def satisfies_grid(cs):
             return all(
-                sum(cs[k - 1] * binomial(N - n + k - 2, k - 1) for k in range(1, K + 2))
+                sum(cs[k - 1] * math.comb(N - n + k - 2, k - 1) for k in range(1, K + 2))
                 == n**K
                 for n in range(N)
             )

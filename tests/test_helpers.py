@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powsum.exactmath import binomial
 from tests.helpers import (
     alternating_power_sum,
     rising_factorial,
@@ -31,11 +30,11 @@ class TestRisingFactorial:
         # x^(rising j) == j! * C(x+j-1, j) for positive x
         for x in range(1, 21):
             for j in range(11):
-                assert rising_factorial(x, j) == math.factorial(j) * binomial(x + j - 1, j)
+                assert rising_factorial(x, j) == math.factorial(j) * math.comb(x + j - 1, j)
 
     @given(x=st.integers(1, 500), j=st.integers(0, 40))
     def test_factorial_binomial_identity_random(self, x, j):
-        assert rising_factorial(x, j) == math.factorial(j) * binomial(x + j - 1, j)
+        assert rising_factorial(x, j) == math.factorial(j) * math.comb(x + j - 1, j)
 
 
 class TestStirling2:

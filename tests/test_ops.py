@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 import powsum
 from powsum import cli
-from powsum.costmodel import Counted, OpCount
+from powsum.costmodel import Counted, OpCount, optimal_chain
+from powsum.oracle import direct_sum
 
 
 class TestCounted:
@@ -254,6 +256,8 @@ POWER_TAKERS = {
     "predict_baseline": powsum.predict_baseline,
     "CoefficientSet": lambda K, N: powsum.CoefficientSet(K, N, (9, -7, 2)),
     "coefficients_closed": powsum.coefficients_closed,
+    "optimal_chain": lambda K, N: optimal_chain(K),
+    "direct_sum": lambda K, N: direct_sum([3, 1, 4], K),
 }
 LENGTH_TAKERS = ["predict_cascade", "predict_baseline", "CoefficientSet", "coefficients_closed"]
 
@@ -262,7 +266,7 @@ LENGTH_TAKERS = ["predict_cascade", "predict_baseline", "CoefficientSet", "coeff
 @pytest.mark.parametrize("K", [True, 2.0, "3"])
 @pytest.mark.parametrize("name", POWER_TAKERS)
 def test_power_that_is_not_exactly_an_int_is_refused(name, K):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"^power K must be an int, got {re.escape(repr(K))}$"):
         POWER_TAKERS[name](K, 3)
 
 
@@ -275,8 +279,15 @@ def test_negative_power_is_refused(name):
 @pytest.mark.parametrize("N", [True, 3.0])
 @pytest.mark.parametrize("name", LENGTH_TAKERS)
 def test_length_that_is_not_exactly_an_int_is_refused(name, N):
-    with pytest.raises(TypeError):
+    message = f"^sequence length N must be an int, got {re.escape(repr(N))}$"
+    with pytest.raises(TypeError, match=message):
         POWER_TAKERS[name](2, N)
+
+
+def test_bool_power_misses_the_cached_chain():
+    optimal_chain(1)  # cached under the int key 1, which True == 1 would equal
+    with pytest.raises(TypeError, match="^power K must be an int, got True$"):
+        optimal_chain(True)
 
 
 def test_cascade_surface():
