@@ -31,7 +31,8 @@ error still exits 2.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
-ignored. Under ``--float`` each result is the exact sum of the parsed
+ignored. ``moment`` reads it with ``powsum.cascade.push_stream``, which
+lives beside the chunk kernel it feeds. Under ``--float`` each result is the exact sum of the parsed
 doubles, rounded once to the nearest double; a non-finite sample and a
 result beyond the double range (naming K) are errors with exit 2. All
 output is deterministic for identical inputs and flags (randomized checks
@@ -48,10 +49,9 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import count, islice
 from typing import Callable, Iterable, TextIO
 
-from .cascade import _CHUNK, Cascade
+from .cascade import _CHUNK, Cascade, SampleParseError, push_stream
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
 from .selfcheck import run_selfcheck
@@ -89,84 +89,6 @@ MAX_N = 10**18
 # Every finite double is a whole multiple of the smallest subnormal,
 # 2**-1074, so a --float sample times 2**FLOAT_SHIFT is an exact integer
 FLOAT_SHIFT = 1074
-
-
-# push_stream reads this many lines at a time. The block's lines are alive
-# while a full queue of _CHUNK samples drains, so the block is shorter: over
-# 400000 lines of 3-digit samples into Cascade(2), the traced peak (Python
-# 3.10-3.13) is about 240 KB without the block, 9.6 KB more with 128-line
-# blocks and 113 KB more with 2048-line ones. In process over stream_k2's
-# 10**6 lines (2-core Xeon VM, Python 3.11.7, one pinned CPU, best of 15),
-# the reader took 0.374 s reading one line at a time, 0.34 s with 64- or
-# 128-line blocks and 0.33 s with 256 to 2048.
-_READ_BLOCK = 128
-
-_ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
-
-
-class SampleParseError(Exception):
-    def __init__(self, lineno: int, text: str) -> None:
-        super().__init__(f"line {lineno}: cannot parse sample {text!r}")
-
-
-def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
-    """Feed data lines into a cascade, skipping blanks and '#' comments.
-
-    ``lines`` is read a block of ``_READ_BLOCK`` lines at a time, by
-    iteration only, and each line once. The pushes run inside the
-    cascade's private ``_batched()`` block, and nothing reads the cascade
-    there: besides the block of lines being read, at most ``_CHUNK``
-    samples wait in its queue, and leaving the block applies them, also
-    when a parse error or an interrupt ends the stream. A parse error is
-    raised once its block has been read, or the input has ended: on a
-    live pipe, up to ``_READ_BLOCK - 1`` lines after the bad one. The
-    block takes ints only, so ``parse`` returns ints: ``int`` itself, or
-    ``_scaled_float`` for ``--float``. Every sample is still one
-    ``cascade.push`` call: the benchmark's trace (``bench/traced.py``)
-    counts those calls as samples, counts lines by iterating ``lines``,
-    and derives the skipped lines from the two.
-
-    A sample is ASCII decimal text (``parse`` decides the literal form)
-    with optional padding, and no ``_`` or non-ASCII character, which
-    ``int`` and ``float`` would accept as digit separators and digits.
-    """
-    lines, push = iter(lines), cascade.push  # islice over a list would restart it
-    with cascade._batched():
-        # One check of the joined block for non-ASCII text and "_" spares
-        # every line of a clean block its own two: over stream_k2's 10**6
-        # lines, 5 ms for the joined checks against 44 ms for the per-line
-        # ones (same VM). A block shorter than _READ_BLOCK means the input
-        # ended: a further read would wait for a second EOF on a terminal.
-        for start in count(1, _READ_BLOCK):
-            block = list(islice(lines, _READ_BLOCK))
-            joined = "".join(block)
-            clean = joined.isascii() and "_" not in joined
-            del joined  # at most one copy of the block's text besides its lines
-            for raw in block:
-                # An error names start + block.index(raw): an equal line
-                # earlier in the block parses alike, so it would have raised
-                # first, and the index is the bad line's own.
-                if clean or (raw.isascii() and "_" not in raw):
-                    # int() and float() skip the padding and the newline themselves
-                    try:
-                        value = parse(raw)
-                    except ValueError:
-                        text = raw.strip()
-                        if not text or text.startswith("#"):
-                            continue
-                        # str.strip() also removes \x1c-\x1f, which int() and float() keep
-                        try:
-                            value = parse(text)
-                        except ValueError:
-                            raise SampleParseError(start + block.index(raw), text) from None
-                    push(value)
-                else:
-                    text = raw.strip()
-                    if text and not text.startswith("#"):  # the message shows non-ASCII padding
-                        lineno = start + block.index(raw)
-                        raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
-            if len(block) < _READ_BLOCK:
-                break
 
 
 def _print_stderr(line: str) -> None:

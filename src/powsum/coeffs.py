@@ -75,11 +75,12 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
 
     __slots__ = ()
 
-    def __new__(cls, K: int, N: int, coeffs: tuple[int, ...]) -> CoefficientSet:
+    def __new__(cls, K: int, N: int, coeffs: Iterable[int]) -> CoefficientSet:
         _check_domain(K, N)
-        if len(coeffs) != K + 1:
-            raise ValueError(f"need exactly {K + 1} coefficients, got {len(coeffs)}")
-        return _new_set(cls, (K, N, coeffs))
+        values = tuple(coeffs)  # a list would leave the set unhashable and mutable
+        if len(values) != K + 1:
+            raise ValueError(f"need exactly {K + 1} coefficients, got {len(values)}")
+        return _new_set(cls, (K, N, values))
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> CoefficientSet:
@@ -130,17 +131,17 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
     For each K a run of consecutive sets is kept, max(1, 1024 // (K+1))
     sets: at most about 1024 integers of about K*log2(N) bits, or one set
     from K = 1023 on. A call whose N falls inside the run returns the kept
-    set. A call for the N one past its end scans the next run from its last set, K subtractions
-    a set and no powers, keeps it and returns its first set; so the
-    running pattern ``finalize(coefficients_closed(K, n))`` after every
-    push builds the difference table only once. At K = 8 (2-core Xeon VM,
-    Python 3.11.7) such a call took about 1.7 us on average, against
-    2.3 us stepping one set a call. Any other N builds the table afresh
-    and keeps it as a run of one. The sets and runs are immutable and a
-    dict read or write is atomic, so concurrent callers always get
-    correct sets; at worst a racing caller builds a table again. A K or N
-    that is not exactly an int, a bool or a float for instance, never
-    reads a kept run: it raises the ``TypeError`` every entry point does.
+    set. A call for the N one past its end scans the next run from its
+    last set, K subtractions a set in C-level passes and no powers, keeps
+    it and returns its first set; so the running pattern
+    ``finalize(coefficients_closed(K, n))`` after every push builds the
+    difference table only once, and does not step one set a call. Any
+    other N builds the table afresh and keeps it as a run of one. The sets
+    and runs are immutable and a dict read or write is atomic, so
+    concurrent callers always get correct sets; at worst a racing caller
+    builds a table again. A K or N that is not exactly an int, a bool or a
+    float for instance, never reads a kept run: it raises the
+    ``TypeError`` every entry point does.
     """
     if type(K) is int and type(N) is int:
         run = _latest.get(K)

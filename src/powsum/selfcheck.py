@@ -1,10 +1,11 @@
 """Randomized checks of the whole pipeline, behind the ``selfcheck``
 CLI command.
 
-Each check tests one thing that ``moment`` relies on: the result streamed
-through ``moment``'s chunk kernel, from zero and from non-zero registers,
-against the brute-force sum, the
-coefficients against the identity that defines them, and each register,
+Each check tests one thing that ``moment`` relies on: the result of
+samples written as text and streamed through ``moment``'s reader,
+``powsum.cascade.push_stream``, and so through its chunk kernel, from
+zero and from non-zero registers, against the brute-force sum; the
+coefficients against the identity that defines them; and each register,
 pushed one sample at a time, against its binomial weight, so both ways of
 advancing the registers are checked. A check is a generator that yields
 ``None`` for each passing case and a counterexample for a failing one;
@@ -18,7 +19,7 @@ import math
 import random
 from typing import Any, Iterator
 
-from .cascade import _CHUNK, Cascade
+from .cascade import _CHUNK, Cascade, push_stream
 from .coeffs import coefficients_closed
 from .oracle import direct_sum
 
@@ -34,20 +35,18 @@ def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
         # Streams of up to half a chunk, every fourth one a chunk longer, so
         # every seed runs the drain that push starts on a full queue, which
         # carries nearly every sample of a moment stream, as well as the
-        # drain of the partial chunk left when the block ends. All but every
-        # eighth stream push their first one to three samples one at a time
-        # before the block, so that its drains, full chunks included, carry
-        # non-zero registers; the eighth starts the block from zero, as
-        # moment does.
+        # drain of the partial chunk left when the reader ends. All but
+        # every eighth stream push their first one to three samples one at
+        # a time before the reader, so that its drains, full chunks
+        # included, carry non-zero registers; the eighth starts the reader
+        # from zero, as moment does.
         N = rng.randint(1, _CHUNK // 2) + (_CHUNK if trial % 4 == 0 else 0)
         head = 0 if trial % 8 == 0 else rng.randint(1, 3)
         v = [rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE) for _ in range(N)]
         cascade = Cascade(K)
         for sample in v[:head]:
             cascade.push(sample)
-        with cascade._batched():
-            for sample in v[head:]:
-                cascade.push(sample)
+        push_stream(cascade, map("{}\n".format, v[head:]), int)
         if cascade.samples_seen != N:
             yield {"K": K, "N": N, "head": head, "v": v, "samples_seen": cascade.samples_seen}
             continue

@@ -24,7 +24,7 @@ its float results: the products added left to right by ``reduce``.
 
 reference_samples is ``moment``'s line grammar read one line at a time,
 with each line's own ASCII and ``_`` checks: the reader that
-powsum.cli.push_stream replaced with one that checks a block at once.
+powsum.cascade.push_stream replaced with one that checks a block at once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from powsum.cli import SampleParseError
+from powsum.cascade import SampleParseError
 from powsum.coeffs import CoefficientSet, signed_differences
 
 # Canonical coefficient-polynomial strings for powers 0..5, index k-1

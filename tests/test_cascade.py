@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from powsum import cascade as cascade_module
 from powsum import coeffs as coeffs_module
-from powsum.cascade import Cascade
+from powsum.cascade import Cascade, push_stream
 from powsum.coeffs import coefficients_closed
 from powsum.costmodel import Counted, OpCount
 from powsum.oracle import direct_sum
@@ -334,18 +334,20 @@ class TestFloatCascade:
 CHUNK = cascade_module._CHUNK
 
 
+def lines_of(samples):
+    return [f"{sample}\n" for sample in samples]
+
+
 def run_batched(K, v):
     cascade = Cascade(K)
-    with cascade._batched():
-        for sample in v:
-            cascade.push(sample)
+    push_stream(cascade, lines_of(v), int)
     return cascade
 
 
 class TestBatched:
-    """Inside ``_batched()`` int samples queue and the registers advance a
-    chunk at a time; after the block every read must equal the per-sample
-    cascade's."""
+    """While ``push_stream`` reads, int samples queue and the registers
+    advance a chunk at a time; after the reader every read must equal the
+    per-sample cascade's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -364,16 +366,14 @@ class TestBatched:
         # up to three chunks of L samples, ending one sample short of a
         # chunk boundary, on it, or one or two past it: drains of 1, 2, L-1
         # and L samples, and streams of L and L+1. The plain pushes before
-        # the block make the carry start from non-zero registers, and those
-        # after it run on the carried ones.
+        # the reader make the carry start from non-zero registers, and
+        # those after it run on the carried ones.
         rng = random.Random(seed)
         length = max(0, chunks * chunk + offset)
         v = [rng.randint(-magnitude, magnitude) for _ in range(length)]
         batched = run_cascade(K, before)
         with mock.patch.object(cascade_module, "_CHUNK", chunk):
-            with batched._batched():
-                for sample in v:
-                    batched.push(sample)
+            push_stream(batched, lines_of(v), int)
         for sample in after:
             batched.push(sample)
         stream = before + v + after
@@ -400,12 +400,15 @@ class TestBatched:
 
     def test_exception_inside_the_block_applies_every_pushed_sample(self):
         v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
+
+        def parse(text):
+            if text == "end\n":
+                raise KeyError("stream ended")
+            return int(text)
+
         cascade = Cascade(2)
         with pytest.raises(KeyError):
-            with cascade._batched():
-                for sample in v:
-                    cascade.push(sample)
-                raise KeyError("stream ended")
+            push_stream(cascade, lines_of(v) + ["end\n", "7\n"], parse)
         assert cascade.samples_seen == len(v)
         assert cascade.registers == run_cascade(2, v).registers
         cascade.push(5)  # immediate again
@@ -413,12 +416,13 @@ class TestBatched:
 
     @pytest.mark.parametrize("K", [0, 1, 2, 5])
     def test_failed_drain_leaves_the_cascade_unchanged(self, K):
+        def parse(text):  # one non-int, which the kernel cannot add
+            return text if text == "x\n" else int(text)
+
         cascade = run_cascade(K, [4, -9])
         registers = cascade.snapshot()
         with pytest.raises(TypeError):
-            with cascade._batched():
-                for sample in [1, "x", 2]:
-                    cascade.push(sample)
+            push_stream(cascade, ["1\n", "x\n", "2\n"], parse)
         assert cascade.registers == registers
         assert cascade.samples_seen == 2
         cascade.push(5)  # immediate again
@@ -427,16 +431,20 @@ class TestBatched:
     def test_queue_stays_below_one_chunk(self):
         # memory stays bounded: a full queue is applied by the push that fills it
         cascade = Cascade(2)
-        with cascade._batched():
-            for sample in range(3 * CHUNK):
-                cascade.push(sample)
-                assert len(cascade._queue) < CHUNK
+        queued = []
+
+        def parse(text):
+            queued.append(len(cascade._queue))
+            return int(text)
+
+        push_stream(cascade, lines_of(range(3 * CHUNK)), parse)
+        assert len(queued) == 3 * CHUNK
+        assert max(queued) == CHUNK - 1
 
     def test_push_outside_the_block_is_immediate(self):
         ops = OpCount()
         cascade = Cascade(3)
-        with cascade._batched():
-            pass
+        push_stream(cascade, [], int)
         for n in range(1, 6):
             cascade.push(Counted(n, ops))
             # the tally is complete before any read of the cascade

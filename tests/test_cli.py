@@ -13,14 +13,16 @@ import sys
 import termios
 import time
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powsum import cascade as cascade_module
 from powsum import cli
-from powsum.cascade import _CHUNK, Cascade
+from powsum.cascade import _CHUNK, _READ_BLOCK, Cascade, SampleParseError, push_stream
 from powsum.coeffs import CoefficientSet, coefficients_closed
 from powsum.oracle import direct_sum
 from powsum.selfcheck import run_selfcheck
@@ -598,7 +600,7 @@ class TestPushStream:
         text, samples = file
         for K in range(4):
             cascade = Cascade(K)
-            cli.push_stream(cascade, io.StringIO(text), int)
+            push_stream(cascade, io.StringIO(text), int)
             assert cascade.samples_seen == len(samples)
             if samples:
                 assert cascade.finalize(coefficients_closed(K, len(samples))) == direct_sum(
@@ -619,7 +621,7 @@ class TestPushStream:
         lines = ["3\n", "\n", "# note\n", " -1 \r\n", "\x1c4\x1f\n", "+5", "   \n", "  # x\n"]
         # a no-break space alone, a non-ASCII comment, ASCII separators as padding
         lines += ["\u00a0\n", "# caf\u00e9 \uff15\n", "\x1c5\x1c\n"]
-        cli.push_stream(cascade, lines, int)
+        push_stream(cascade, lines, int)
         assert calls == [3, -1, 4, 5, 5]
         assert cascade.samples_seen == 5
 
@@ -629,8 +631,8 @@ class TestPushStream:
         samples = list(range(-3, _CHUNK + 2))
         lines = [f"{sample}\n" for sample in samples] + ["x\n", "7\n"]
         cascade = Cascade(3)
-        with pytest.raises(cli.SampleParseError, match=f"^line {len(samples) + 1}: "):
-            cli.push_stream(cascade, lines, int)
+        with pytest.raises(SampleParseError, match=f"^line {len(samples) + 1}: "):
+            push_stream(cascade, lines, int)
         assert cascade.samples_seen == len(samples)
         assert cascade.finalize(coefficients_closed(3, len(samples))) == direct_sum(samples, 3)
 
@@ -644,22 +646,22 @@ class TestPushStream:
     def test_pushes_what_the_line_at_a_time_reference_reads(self, lines, parse):
         try:
             expected, error = reference_samples(lines, parse), None
-        except cli.SampleParseError as exc:
+        except SampleParseError as exc:
             error = str(exc)
             lineno = int(error.split(":")[0].removeprefix("line "))
             expected = reference_samples(lines[: lineno - 1], parse)
-        for block in (1, 2, 3, 5, cli._READ_BLOCK):
+        for block in (1, 2, 3, 5, _READ_BLOCK):
             cascade = RecordingCascade(1)
-            with mock.patch.object(cli, "_READ_BLOCK", block):
+            with mock.patch.object(cascade_module, "_READ_BLOCK", block):
                 if error is None:
-                    cli.push_stream(cascade, iter(lines), parse)
+                    push_stream(cascade, iter(lines), parse)
                 else:
-                    with pytest.raises(cli.SampleParseError) as raised:
-                        cli.push_stream(cascade, iter(lines), parse)
+                    with pytest.raises(SampleParseError) as raised:
+                        push_stream(cascade, iter(lines), parse)
                     assert str(raised.value) == error
             assert cascade.pushed == expected
 
-    @pytest.mark.parametrize("n_lines", [0, 5, cli._READ_BLOCK, _CHUNK + 3])
+    @pytest.mark.parametrize("n_lines", [0, 5, _READ_BLOCK, _CHUNK + 3])
     def test_reads_a_generator_by_iteration_each_line_once(self, n_lines):
         # the benchmark's trace counts lines by iterating them
         read = []
@@ -673,15 +675,15 @@ class TestPushStream:
         lines = generate()
         assert not hasattr(lines, "readlines")
         cascade = Cascade(1)
-        cli.push_stream(cascade, lines, int)
+        push_stream(cascade, lines, int)
         assert read == ["# note\n" if i % 5 == 0 else f"{i}\n" for i in range(n_lines)]
         assert cascade.samples_seen == n_lines - len(range(0, n_lines, 5))
 
-    @pytest.mark.parametrize("n_lines", [0, 5, cli._READ_BLOCK, 2 * cli._READ_BLOCK, _CHUNK + 3])
+    @pytest.mark.parametrize("n_lines", [0, 5, _READ_BLOCK, 2 * _READ_BLOCK, _CHUNK + 3])
     def test_reads_once_past_the_last_line(self, n_lines):
         cascade = Cascade(1)
         lines = Terminal(f"{i}\n" for i in range(n_lines))
-        cli.push_stream(cascade, lines, int)
+        push_stream(cascade, lines, int)
         assert lines.ended and cascade.samples_seen == n_lines
 
 
@@ -896,6 +898,21 @@ class TestSelfcheck:
         report = json.loads(capsys.readouterr().out)
         failed = [check for check in report["checks"] if not check["passed"]]
         assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+
+    def test_fault_in_the_reader_detected(self, monkeypatch, capsys):
+        # selfcheck writes its samples as lines and streams them through
+        # moment's reader, so a reader fault fails the streamed check
+        def islice_dropping_last_lines(lines, stop):
+            block = list(islice(lines, stop))
+            return block[:-1] if len(block) == stop else block
+
+        monkeypatch.setattr(cascade_module, "islice", islice_dropping_last_lines)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+        counterexample = failed[0]["counterexample"]
+        assert counterexample["samples_seen"] < counterexample["N"]
 
     def test_lost_full_chunk_detected(self, monkeypatch, capsys):
         # nearly every sample of a moment stream is applied by the drain

@@ -100,6 +100,14 @@ class TestCoefficientSetContract:
         assert len({stepped, fresh, CoefficientSet(4, 7, fresh.coeffs)}) == 1
         assert CoefficientSet(4, 8, fresh.coeffs) != fresh
 
+    def test_list_argument_is_stored_as_a_tuple(self):
+        values = [9, -7, 2]
+        built = CoefficientSet(2, 3, values)
+        assert built == coefficients_closed(2, 3)
+        assert hash(built) == hash(coefficients_closed(2, 3))
+        values.append(1)
+        assert built.coeffs == (9, -7, 2)
+
     def test_repr(self):
         text = "CoefficientSet(K=2, N=3, coeffs=(9, -7, 2))"
         assert repr(CoefficientSet(2, 3, (9, -7, 2))) == text

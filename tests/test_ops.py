@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import powsum
+from powsum import cascade as cascade_module
 from powsum import cli
+from powsum.cascade import push_stream
 from powsum.costmodel import Counted, OpCount, optimal_chain
 from powsum.oracle import direct_sum
 
@@ -169,6 +171,27 @@ def test_package_ships_one_coefficient_route():
     assert result.stdout == "False\n"
 
 
+def test_batching_rule_lives_in_the_cascade_module():
+    # the reader's queue lags the registers, so only the module that owns
+    # the queue may fill, drain or name it
+    private = {"_queue", "_drain", "_batched"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cascade.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & private, path.name
+    assert not hasattr(powsum.Cascade, "_batched")
+    # bench/traced.py and tests/test_acceptance.py reach the reader through cli
+    assert cli.push_stream is cascade_module.push_stream
+
+
 def test_ops_module_is_gone():
     # its counting rules live in powsum.costmodel
     assert importlib.util.find_spec("powsum.ops") is None
@@ -314,7 +337,7 @@ def test_reads_never_write():
     cascade = powsum.Cascade(3)
     cascade.push(5)
     for lines in ([], ["4\n", "# note\n", "-2\n", "9\n"]):
-        cli.push_stream(cascade, lines, int)
+        push_stream(cascade, lines, int)
         before = copy.deepcopy(vars(cascade))
         cascade.snapshot()
         cascade.finalize(powsum.coefficients_closed(3, cascade.samples_seen))
