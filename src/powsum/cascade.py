@@ -14,9 +14,10 @@ then carries the old registers across it with the cascade's impulse
 response.
 
 A cascade is single-writer: pushes must be serialized by the caller (the
-recurrence is inherently sequential). ``snapshot`` and ``finalize`` never
-mutate the registers and may run concurrently with each other, but not
-with a push. Distinct cascades are fully independent.
+recurrence is inherently sequential). Reading ``registers`` and
+``samples_seen`` and calling ``finalize`` never change the cascade and
+may run concurrently with each other, but not with a push. Distinct
+cascades are fully independent.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ class Cascade:
 
     ``registers[k-1]`` is the k-th accumulator output for the samples
     pushed so far, ``registers[0]`` the plain running sum, and
-    ``samples_seen`` counts those samples. Both are plain attributes that
-    only pushes write, so no read changes the cascade. Samples are
+    ``samples_seen`` counts those samples. They are the whole streaming
+    state, and the read API: plain attributes that only pushes write,
+    updated in place, so copy ``registers`` with ``list(...)`` to keep a
+    value across later pushes. ``finalize`` never writes them. Reads may
+    run concurrently with each other, but not with a push. Samples are
     normally ints, which keeps every result exact. Floats may be pushed
     too, with approximate results, and :class:`~powsum.costmodel.Counted`
     samples count the operations the cascade performs on them.
@@ -123,10 +127,6 @@ class Cascade:
         self.samples_seen += length
         queue.clear()
 
-    def snapshot(self) -> list[int]:
-        """Current register values A_1..A_{K+1}, as a new list."""
-        return list(self.registers)
-
     def finalize(self, coeffs: CoefficientSet) -> int:
         """Combine the registers into sum(n**P * v[n]) over the samples
         pushed so far, for the power P = coeffs.K <= K.
@@ -134,8 +134,13 @@ class Cascade:
         Non-destructive: the cascade can keep streaming afterwards and be
         finalized again, so running per-sample outputs are possible even
         though the usual pattern is a single combination after the last
-        sample. ``coeffs`` must be for the current sample count.
+        sample. ``coeffs`` must be a :class:`CoefficientSet` for the current
+        sample count: any other type raises ``TypeError``, since only the
+        constructor and ``coefficients_closed`` guarantee exact int
+        coefficients, K+1 of them for an int power K.
         """
+        if type(coeffs) is not CoefficientSet:
+            raise TypeError(f"coefficients must be a CoefficientSet, got {type(coeffs).__name__}")
         power, length, weights = coeffs
         if power > self.K:
             raise self._power_error(power)

@@ -68,7 +68,8 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
 
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
     zero-based, so ``coeffs[i]`` holds c_{i+1}. An immutable named tuple
-    ``(K, N, coeffs)``: the constructor checks its arguments, and
+    ``(K, N, coeffs)``: the constructor checks its arguments, each of K,
+    N and the coefficients exactly an int, not a bool or a float, and
     ``coefficients_closed`` builds its sets directly, once it has checked
     K and N, without checking again what its table or scan guarantees.
     """
@@ -80,6 +81,9 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
         values = tuple(coeffs)  # a list would leave the set unhashable and mutable
         if len(values) != K + 1:
             raise ValueError(f"need exactly {K + 1} coefficients, got {len(values)}")
+        for c in values:  # a float or bool coefficient would make a result inexact
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be ints, got {c!r}")
         return _new_set(cls, (K, N, values))
 
     @classmethod

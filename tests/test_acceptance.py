@@ -115,7 +115,7 @@ def test_criterion_4_identity_suite():
                     expected = [
                         binomial((N - 1 - m) + k - 1, k - 1) for k in range(1, K + 2)
                     ]
-                    assert cascade.snapshot() == expected, (K, m, N)
+                    assert cascade.registers == expected, (K, m, N)
         # pointwise identity n^K == sum_k c_k C(N-n+k-2, k-1) on the grid
         for K in range(9):
             for N in range(1, 41):

@@ -29,7 +29,7 @@ class TestConstruction:
     @pytest.mark.parametrize("K", [0, 2, 7])
     def test_fresh_registers_are_zero(self, K):
         cascade = Cascade(K)
-        assert cascade.snapshot() == [0] * (K + 1)
+        assert cascade.registers == [0] * (K + 1)
         assert cascade.samples_seen == 0
 
     def test_rejects_negative_power(self):
@@ -43,35 +43,28 @@ class TestPush:
         seen = []
         for sample in [3, 1, 4]:
             cascade.push(sample)
-            seen.append(cascade.snapshot())
+            seen.append(list(cascade.registers))
         assert seen == [[3, 3, 3], [4, 7, 10], [8, 15, 25]]
 
     def test_k0_is_running_sum(self):
         cascade = run_cascade(0, [5, 7])
-        assert cascade.snapshot() == [12]
+        assert cascade.registers == [12]
 
     def test_unit_impulse_second_register_counts_up(self):
         cascade = Cascade(1)
         first_register, second_register = [], []
         for sample in [1, 0, 0, 0]:
             cascade.push(sample)
-            a1, a2 = cascade.snapshot()
+            a1, a2 = cascade.registers
             first_register.append(a1)
             second_register.append(a2)
         assert first_register == [1, 1, 1, 1]
         assert second_register == [1, 2, 3, 4]
 
-    def test_snapshot_does_not_mutate(self):
-        cascade = run_cascade(1, [1])
-        assert cascade.snapshot() == [1, 1]
-        taken = cascade.snapshot()
-        taken[0] = 99
-        assert cascade.snapshot() == [1, 1]
-
     def test_first_register_is_plain_sum(self):
         rng = random.Random(3)
         v = [rng.randint(-50, 50) for _ in range(25)]
-        assert run_cascade(4, v).snapshot()[0] == sum(v)
+        assert run_cascade(4, v).registers[0] == sum(v)
 
 
 class TestImpulseResponse:
@@ -80,11 +73,11 @@ class TestImpulseResponse:
             for m in range(6):
                 for N in range(m + 1, m + 8):
                     impulse = [1 if n == m else 0 for n in range(N)]
-                    snapshot = run_cascade(K, impulse).snapshot()
+                    registers = run_cascade(K, impulse).registers
                     expected = [
                         math.comb((N - 1 - m) + k - 1, k - 1) for k in range(1, K + 2)
                     ]
-                    assert snapshot == expected, (K, m, N)
+                    assert registers == expected, (K, m, N)
 
 
 class TestConvolutionForm:
@@ -93,12 +86,12 @@ class TestConvolutionForm:
         for K in range(6):
             for N in (1, 2, 5, 13, 20):
                 v = [rng.randint(-(10**6), 10**6) for _ in range(N)]
-                snapshot = run_cascade(K, v).snapshot()
+                registers = run_cascade(K, v).registers
                 for k in range(1, K + 2):
                     expected = sum(
                         math.comb(N - n + k - 2, k - 1) * v[n] for n in range(N)
                     )
-                    assert snapshot[k - 1] == expected, (K, N, k)
+                    assert registers[k - 1] == expected, (K, N, k)
 
 
 class TestLinearity:
@@ -111,9 +104,9 @@ class TestLinearity:
     def test_cascade_is_linear(self, pairs, alpha, beta, K):
         u = [p[0] for p in pairs]
         w = [p[1] for p in pairs]
-        mixed = run_cascade(K, [alpha * a + beta * b for a, b in pairs]).snapshot()
-        from_u = run_cascade(K, u).snapshot()
-        from_w = run_cascade(K, w).snapshot()
+        mixed = run_cascade(K, [alpha * a + beta * b for a, b in pairs]).registers
+        from_u = run_cascade(K, u).registers
+        from_w = run_cascade(K, w).registers
         assert mixed == [alpha * a + beta * b for a, b in zip(from_u, from_w)]
 
 
@@ -133,9 +126,9 @@ class TestFinalize:
     def test_is_non_destructive(self):
         cascade = run_cascade(3, [2, -1, 8])
         coeffs = coefficients_closed(3, 3)
-        before = cascade.snapshot()
+        before = list(cascade.registers)
         assert cascade.finalize(coeffs) == cascade.finalize(coeffs)
-        assert cascade.snapshot() == before
+        assert cascade.registers == before
         assert cascade.samples_seen == 3
 
     def test_streaming_continues_after_finalize(self):
@@ -155,6 +148,14 @@ class TestFinalize:
         cascade = run_cascade(2, [1, 2])
         with pytest.raises(ValueError):
             cascade.finalize(coefficients_closed(2, 3))
+
+    # a bare tuple, whatever it holds: too few coefficients, a bool power,
+    # or the very values of coefficients_closed(2, 3)
+    @pytest.mark.parametrize("coeffs", [(2, 3, (1,)), (True, 3, (3, -1)), (2, 3, (9, -7, 2))])
+    def test_anything_but_a_coefficient_set_rejected(self, coeffs):
+        cascade = run_cascade(2, [3, 1, 4])
+        with pytest.raises(TypeError, match="^coefficients must be a CoefficientSet, got tuple$"):
+            cascade.finalize(coeffs)
 
     def test_empty_cascade_rejected(self):
         with pytest.raises(ValueError):
@@ -252,7 +253,7 @@ class TestOperationCounting:
         plain = run_cascade(K, v)
         coeffs = coefficients_closed(P, len(v))
         assert counted.finalize(coeffs).value == plain.finalize(coeffs) == direct_sum(v, P)
-        assert [r.value for r in counted.registers] == plain.snapshot()
+        assert [r.value for r in counted.registers] == plain.registers
 
     def test_moment_with_ops_attribution(self):
         cascade = run_cascade(4, [1, 2, 3, 4, 5])
@@ -274,7 +275,7 @@ class TestFloatCascade:
         exact = run_cascade(3, v)
         approx = run_cascade(3, [float(sample) for sample in v])
         # values stay well inside exact double range, so equality is exact
-        assert approx.snapshot() == [float(r) for r in exact.snapshot()]
+        assert approx.registers == [float(r) for r in exact.registers]
         value, _ = approx.moment_with_ops(3)
         assert isinstance(value, float)
         assert value == float(direct_sum(v, 3))
@@ -393,7 +394,7 @@ class TestBatched:
         rng = random.Random(length)
         v = [rng.randint(-(10**6), 10**6) for _ in range(length)]
         batched, plain = run_batched(3, v), run_cascade(3, v)
-        assert batched.snapshot() == plain.snapshot()
+        assert batched.registers == plain.registers
         assert batched.samples_seen == length
         if v:
             assert batched.finalize(coefficients_closed(3, length)) == direct_sum(v, 3)
@@ -420,7 +421,7 @@ class TestBatched:
             return text if text == "x\n" else int(text)
 
         cascade = run_cascade(K, [4, -9])
-        registers = cascade.snapshot()
+        registers = list(cascade.registers)
         with pytest.raises(TypeError):
             push_stream(cascade, ["1\n", "x\n", "2\n"], parse)
         assert cascade.registers == registers

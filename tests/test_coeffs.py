@@ -83,6 +83,18 @@ class TestCoefficientSetContract:
         with pytest.raises(ValueError):
             CoefficientSet._make(fields.values())
 
+    @pytest.mark.parametrize(
+        "values, first_bad",
+        [((9.0, -7, True), "9.0"), ((9, -7.0, 2), "-7.0"), ((9, -7, True), "True")],
+    )
+    def test_coefficient_that_is_not_exactly_an_int_is_refused(self, values, first_bad):
+        # a float or bool coefficient would make finalize's result inexact
+        message = f"^coefficients must be ints, got {first_bad}$"
+        with pytest.raises(TypeError, match=message):
+            CoefficientSet(2, 3, values)
+        with pytest.raises(TypeError, match=message):
+            coefficients_closed(2, 3)._replace(coeffs=values)
+
     @pytest.mark.parametrize("field", ["K", "N", "coeffs"])
     def test_fields_cannot_be_assigned(self, field):
         kept = coefficients_closed(2, 3)
