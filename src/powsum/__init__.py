@@ -2,9 +2,13 @@
 
 A cascade of K+1 running-sum registers consumes a sequence one sample at
 a time; after the last sample, K+1 constant multiplications combine the
-register values into sum(n**K * v[n]). No buffering of the input, no
-multiplication inside the streaming loop, and exact integer arithmetic
-end to end.
+register values into sum(n**K * v[n]), with exact integer arithmetic end
+to end. ``Cascade.push`` stores no input and multiplies nothing;
+``moment``'s reader holds at most 128 lines and 2048 queued samples and
+makes K(K+1)/2 constant multiplications per 2048-sample chunk.
+
+The self-check behind ``powsum selfcheck`` is
+``powsum.selfcheck.run_selfcheck``; importing the package does not load it.
 """
 
 from .cascade import Cascade, measure_cascade
@@ -21,7 +25,6 @@ from .costmodel import (
     predict_cascade,
 )
 from .oracle import direct_sum
-from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"
 
@@ -37,6 +40,5 @@ __all__ = [
     "measure_cascade",
     "predict_baseline",
     "predict_cascade",
-    "run_selfcheck",
     "__version__",
 ]

@@ -27,7 +27,8 @@ or the package import (about the first 0.1 s) comes before ``entrypoint``
 and still prints a traceback. A closed stderr loses the messages, not the
 exit code. A stdin closed at start is an error line and exit 2 for
 ``moment`` without ``--input``; with stdout closed at start, a usage
-error still exits 2.
+error still exits 2. ``moment`` holds each input line whole: a line too
+long for memory is one error line, nothing on stdout, and exit 2.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -275,6 +276,11 @@ def _run_moment(args: argparse.Namespace) -> int:
             push_stream(cascade, sys.stdin, parse)
     except (SampleParseError, OSError) as exc:
         _print_stderr(f"error: {exc}")
+        return EXIT_USAGE
+    except MemoryError:
+        # a line is held whole, so one without an end (as from /dev/zero)
+        # runs the process out of memory while it is decoded or parsed
+        _print_stderr("error: out of memory while reading samples: a line is too long")
         return EXIT_USAGE
 
     n_samples = cascade.samples_seen

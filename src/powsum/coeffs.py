@@ -116,9 +116,10 @@ def _scan(last: CoefficientSet, length: int) -> tuple[CoefficientSet, ...]:
 # The integers a kept run holds at most, about: a run is max(1, 1024 // (K+1))
 # sets. At K = 8 (113 sets a run) on a 2-core Xeon VM with Python 3.11.7, a
 # run costs about 1 us a set to build, and a call that finds its set in the
-# run about 0.45 us. Longer runs save little: a build's fixed cost, about
-# 6 us, is already near 0.05 us a set, while every set kept holds K+1 more
-# integers.
+# run about 0.45 us, so the one call in 113 that builds a run shows in the
+# running pattern's 99th-percentile latency. Longer runs save little: a
+# build's fixed cost, about 6 us, is already near 0.05 us a set, while every
+# set kept holds K+1 more integers.
 _RUN_INTEGERS = 1024
 
 # The run of consecutive sets coefficients_closed keeps for each K.

@@ -138,7 +138,8 @@ def optimal_chain(K: int) -> tuple[tuple[int, int], ...]:
     step i, a pair (a, b) of positions 0 to i, appends the sum of the
     exponents at a and b; the last one appended is K, and K = 1 takes no
     step, (). The number of steps is the number of multiplications needed
-    to raise a value to the K-th power.
+    to raise a value to the K-th power: ``optimal_chain(7) == ((0, 0),
+    (0, 1), (0, 2), (2, 3))`` builds 1, 2, 3, 4, 7 in four.
 
     Iterative deepening from the log2 lower bound guarantees minimality;
     within the minimal length, the lexicographically smallest step

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pty
+import resource
 import signal
 import struct
 import subprocess
@@ -1113,6 +1114,57 @@ def test_closed_stdin(from_file, code, out, err, tmp_path):
         timeout=60,
     )
     assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
+
+
+# as `ulimit -v 300000`: enough for the interpreter and a normal run, not
+# for a line without an end
+ADDRESS_SPACE_LIMIT = 300_000 * 1024
+
+
+def _limit_address_space():
+    # raises in the child before exec if the limit cannot be set, so the
+    # command never runs without it
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+limits_address_space = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux"
+)
+
+
+@limits_address_space
+@pytest.mark.parametrize("from_file", [True, False], ids=["input-file", "stdin"])
+def test_line_too_long_for_memory(from_file):
+    # /dev/zero is one line without an end: the reader holds a line whole,
+    # so it runs out of memory, which is an error line and exit 2, not a
+    # traceback and the selfcheck's exit 1
+    argv = [sys.executable, "-m", "powsum", "moment", "-K", "1"]
+    with open("/dev/zero", "rb") as zero:
+        process = subprocess.run(
+            argv + (["--input", "/dev/zero"] if from_file else []),
+            stdin=subprocess.DEVNULL if from_file else zero,
+            capture_output=True,
+            preexec_fn=_limit_address_space,
+            timeout=60,
+        )
+    assert process.returncode == cli.EXIT_USAGE
+    assert process.stdout == b""
+    assert process.stderr.startswith(b"error: ")
+    assert process.stderr.count(b"\n") == 1
+
+
+@limits_address_space
+def test_normal_run_fits_the_address_space_limit():
+    # the limit above leaves room for a run that reads real lines
+    process = subprocess.run(
+        [sys.executable, "-m", "powsum", "moment", "-K", "2", "--format", "plain"],
+        input=b"".join(b"%d\n" % n for n in range(10_000)),
+        capture_output=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (process.returncode, process.stderr) == (cli.EXIT_OK, b"")
+    assert process.stdout == b"2 %d\n" % sum(n**3 for n in range(10_000))
 
 
 @pytest.mark.parametrize(

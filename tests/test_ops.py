@@ -171,6 +171,18 @@ def test_package_ships_one_coefficient_route():
     assert result.stdout == "False\n"
 
 
+def test_package_import_leaves_the_selfcheck_unloaded():
+    # the self-check is the CLI's, not the library's: importing powsum does
+    # not load it, and it stays importable from its own module
+    code = (
+        "import sys, powsum; print('powsum.selfcheck' in sys.modules); "
+        "from powsum.selfcheck import run_selfcheck; print(callable(run_selfcheck))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
+
+
 def test_batching_rule_lives_in_the_cascade_module():
     # the reader's queue lags the registers, so only the module that owns
     # the queue may fill, drain or name it
@@ -227,7 +239,6 @@ def test_public_surface():
         "measure_cascade",
         "predict_baseline",
         "predict_cascade",
-        "run_selfcheck",
     ]
 
 
