@@ -228,7 +228,12 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     A sample is ASCII decimal text (``parse`` decides the literal form)
     with optional padding, and no ``_`` or non-ASCII character, which
     ``int`` and ``float`` would accept as digit separators and digits.
+
+    ``lines`` given as one ``str`` raises ``TypeError`` before anything is
+    pushed: iterating it would read each character as a line.
     """
+    if isinstance(lines, str):
+        raise TypeError("lines must be an iterable of lines, not a str")
     lines = iter(lines)  # islice over a list would restart it
     cascade._queue = []
     push = cascade.push

@@ -99,34 +99,29 @@ def predict_cascade(K: int, N: int) -> OpCount:
 
 
 def _search_chain(
-    values: list[int], steps: list[tuple[int, int]], target: int, remaining: int
-) -> list[tuple[int, int]] | None:
-    # Depth-first over strictly increasing chains (any chain can be
-    # reordered into an increasing one of the same length, so minimality
-    # is unaffected). Pairs are tried in lexicographic order and the
-    # first hit is returned, which makes the result deterministic.
+    values: tuple[int, ...], target: int, remaining: int
+) -> tuple[tuple[int, int], ...] | None:
+    # The steps that extend the chain ``values`` to ``target`` in at most
+    # ``remaining`` more, or None. Depth-first over strictly increasing
+    # chains (any chain can be reordered into an increasing one of the
+    # same length, so minimality is unaffected). Pairs are tried in
+    # lexicographic order and the first hit is returned, which makes the
+    # result deterministic.
+    top = values[-1]
+    if top == target:
+        return ()
     if remaining == 0:
         return None
-    top = values[-1]
-    n = len(values)
-    for a in range(n):
-        va = values[a]
-        for b in range(a, n):
+    for a, va in enumerate(values):
+        for b in range(a, len(values)):
             c = va + values[b]
             if c <= top or c > target:
                 continue
             if c << (remaining - 1) < target:
                 continue  # even doubling every step cannot reach the target
-            steps.append((a, b))
-            if c == target:
-                found = list(steps)
-            else:
-                values.append(c)
-                found = _search_chain(values, steps, target, remaining - 1)
-                values.pop()
-            steps.pop()
-            if found is not None:
-                return found
+            rest = _search_chain(values + (c,), target, remaining - 1)
+            if rest is not None:
+                return ((a, b),) + rest
     return None
 
 
@@ -149,13 +144,10 @@ def optimal_chain(K: int) -> tuple[tuple[int, int], ...]:
     _check_power(K)
     if not 1 <= K <= MAX_CHAIN_TARGET:
         raise ValueError(f"chain target must be in [1, {MAX_CHAIN_TARGET}]")
-    if K == 1:
-        return ()
-    lower = (K - 1).bit_length()  # ceil(log2 K) for K >= 2
-    for length in count(lower):
-        steps = _search_chain([1], [], K, length)
+    for length in count((K - 1).bit_length()):  # ceil(log2 K)
+        steps = _search_chain((1,), K, length)
         if steps is not None:
-            return tuple(steps)
+            return steps
     raise AssertionError("unreachable: doubling always reaches the target")
 
 

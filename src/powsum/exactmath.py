@@ -2,9 +2,9 @@
 
 No package module imports this one: the package calls ``math.comb``, and
 the closed form's difference table, ``signed_differences``, lives in
-``powsum.coeffs``. The alias stays only because ``bench/traced.py`` and
-the acceptance suite import it by this name. ROADMAP item 1 releases
-that import, and the module is deleted then.
+``powsum.coeffs``. The alias stays only because ``bench/traced.py``, its
+only importer besides its own test, imports it by this name. ROADMAP
+item 1 releases that import, and the module is deleted then.
 """
 
 import math

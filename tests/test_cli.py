@@ -15,6 +15,7 @@ import termios
 import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -692,6 +693,16 @@ class TestPushStream:
         assert read == ["# note\n" if i % 5 == 0 else f"{i}\n" for i in range(n_lines)]
         assert cascade.samples_seen == n_lines - len(range(0, n_lines, 5))
 
+    def test_refuses_a_str_and_leaves_the_cascade_unchanged(self):
+        # iterating "12\n3\n" would push the characters 1, 2 and 3
+        cascade = Cascade(0)
+        cascade.push(5)
+        with pytest.raises(TypeError, match="^lines must be an iterable of lines, not a str$"):
+            push_stream(cascade, "12\n3\n", int)
+        assert cascade.registers == [5]
+        assert cascade.samples_seen == 1
+        assert cascade._queue is None
+
     @pytest.mark.parametrize("n_lines", [0, 5, _READ_BLOCK, 2 * _READ_BLOCK, _CHUNK + 3])
     def test_reads_once_past_the_last_line(self, n_lines):
         cascade = Cascade(1)
@@ -1295,6 +1306,24 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    def test_moment_help_names_the_paper_count_not_the_chunk(self, capsys):
+        # the chunk size is the cascade module's; help names no figure of it
+        assert cli.main(["moment", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "the paper's operation count" in text
+        assert str(cascade_module._CHUNK) not in text
+
+    def test_readme_documents_every_exit_code_and_bound(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert codes == {0, 1, 2, 3, 130, 141}
+        for code in codes:
+            assert f"* `{code}`: " in section, code
+        for bound in (cli.MAX_K, cli.MAX_TABLE_KMAX, cli.MAX_CHAIN_TARGET):
+            assert f"0..{bound}" in section, bound
+        assert cli.MAX_N == 10**18 and "1..10^18" in section
 
 
 # Flag values the fuzz test draws besides the valid ones: out of range for

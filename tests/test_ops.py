@@ -204,6 +204,15 @@ def test_batching_rule_lives_in_the_cascade_module():
     assert cli.push_stream is cascade_module.push_stream
 
 
+def test_cli_imports_nothing_private_from_the_cascade():
+    # the chunk size and the reader's internals are the cascade module's own
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("cascade", "powsum.cascade"):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, private
+
+
 def test_ops_module_is_gone():
     # its counting rules live in powsum.costmodel
     assert importlib.util.find_spec("powsum.ops") is None

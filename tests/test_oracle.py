@@ -36,7 +36,15 @@ class TestDirectSum:
 
 class TestAdditionChain:
     def test_known_minimal_lengths(self):
-        assert [len(optimal_chain(K)) for K in range(1, 9)] == [0, 1, 2, 2, 3, 3, 4, 3]
+        # OEIS A003313, the length of the shortest addition chain, for every
+        # target the search accepts
+        shortest = [
+            0, 1, 2, 2, 3, 3, 4, 3, 4, 4, 5, 4, 5, 5, 5, 4,
+            5, 5, 6, 5, 6, 6, 6, 5, 6, 6, 6, 6, 7, 6, 7, 5,
+            6, 6, 7, 6, 7, 7, 7, 6, 7, 7, 7, 7, 7, 7, 8, 6,
+            7, 7, 7, 7, 8, 7, 8, 7, 8, 8, 8, 7, 8, 8, 8, 6,
+        ]
+        assert [len(optimal_chain(K)) for K in range(1, MAX_CHAIN_TARGET + 1)] == shortest
 
     def test_power_seven_needs_four_steps(self):
         assert len(optimal_chain(7)) == 4
