@@ -4,10 +4,12 @@ CLI command.
 Each check tests one thing that ``moment`` relies on: the result of
 samples written as text and streamed through ``moment``'s reader,
 ``powsum.cascade.push_stream``, and so through its chunk kernel, from
-zero and from non-zero registers, against the brute-force sum; the
-coefficients against the identity that defines them; and each register,
-pushed one sample at a time, against its binomial weight, so both ways of
-advancing the registers are checked. A check is a generator that yields
+zero and from non-zero registers, against the brute-force sum, and at
+K >= 12, where the kernel scans in packed lanes, every register against
+the same samples pushed one at a time; the coefficients against the
+identity that defines them; and each register, pushed one sample at a
+time, against its binomial weight, so both ways of advancing the
+registers are checked. A check is a generator that yields
 ``None`` for each passing case and a counterexample for a failing one;
 the run stops at the first counterexample. Given the same seed, the run
 is fully deterministic.
@@ -31,38 +33,49 @@ Cases = Iterator[dict[str, Any] | None]
 
 def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
     for trial in range(TRIALS):
-        K = rng.randint(0, 8)
-        # Streams of up to half a chunk, every fourth one a chunk longer, so
-        # every seed runs the drain that push starts on a full queue, which
-        # carries nearly every sample of a moment stream, as well as the
-        # drain of the partial chunk left when the reader ends. All but
-        # every eighth stream push their first one to three samples one at
-        # a time before the reader, so that its drains, full chunks
-        # included, carry non-zero registers; the eighth starts the reader
-        # from zero, as moment does.
-        N = rng.randint(1, _CHUNK // 2) + (_CHUNK if trial % 4 == 0 else 0)
-        head = 0 if trial % 8 == 0 else rng.randint(1, 3)
+        # Every other stream goes into a cascade of K = 12..40, whose drains
+        # scan in packed lanes. Its result is read at a power P <= 8, like
+        # the others' at P = K, so that coefficients for larger powers stay
+        # the identity check's to test. P reads only registers 1..P+1, so
+        # every register must also equal those of samples pushed one at a
+        # time.
+        lanes = trial % 2 == 1
+        K = rng.randint(12, 40) if lanes else rng.randint(0, 8)
+        # Streams of up to half a chunk, every other pair of them a chunk
+        # longer, so every seed runs the drain that push starts on a full
+        # queue, which carries nearly every sample of a moment stream, as
+        # well as the drain of the partial chunk left when the reader ends.
+        # All but two streams in eight push their first one to three
+        # samples one at a time before the reader, so that its drains, full
+        # chunks included, carry non-zero registers; the two start the
+        # reader from zero, as moment does.
+        N = rng.randint(1, _CHUNK // 2) + (_CHUNK if trial % 4 < 2 else 0)
+        head = 0 if trial % 8 < 2 else rng.randint(1, 3)
         v = [rng.randint(-SAMPLE_MAGNITUDE, SAMPLE_MAGNITUDE) for _ in range(N)]
+        P = rng.randint(0, 8) if lanes else K
+        case = {"K": K, "P": P, "N": N, "head": head, "v": v}
         cascade = Cascade(K)
         for sample in v[:head]:
             cascade.push(sample)
         push_stream(cascade, map("{}\n".format, v[head:]), int)
         if cascade.samples_seen != N:
-            yield {"K": K, "N": N, "head": head, "v": v, "samples_seen": cascade.samples_seen}
+            yield {**case, "samples_seen": cascade.samples_seen}
             continue
-        streamed = cascade.finalize(coefficients_closed(K, N))
-        expected = direct_sum(v, K)
+        if lanes:
+            pushed = Cascade(K)
+            for sample in v:
+                pushed.push(sample)
+            pairs = zip(cascade.registers, pushed.registers)
+            differ = [k for k, (x, y) in enumerate(pairs, 1) if x != y]
+            if differ:
+                yield {**case, "registers_differ": differ}
+                continue
+        streamed = cascade.finalize(coefficients_closed(P, N))
+        expected = direct_sum(v, P)
         if streamed == expected:
             yield None
         else:
-            yield {
-                "K": K,
-                "N": N,
-                "head": head,
-                "v": v,
-                "streamed": str(streamed),
-                "expected": str(expected),
-            }
+            yield {**case, "streamed": str(streamed), "expected": str(expected)}
 
 
 def _coefficients_reproduce_powers(rng: random.Random) -> Cases:

@@ -353,10 +353,13 @@ class TestBatched:
     @settings(max_examples=100, deadline=None)
     @given(
         K=st.integers(0, 40),
-        chunk=st.sampled_from([1, 2, 3, 5, 64, CHUNK]),
+        # chunks of 7 to 13 samples lie around the 8 that Cascade._drain
+        # needs to scan in packed lanes (at K >= 12), and 10**100 is wider
+        # than the 256 bits it packs
+        chunk=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 13, 64, CHUNK]),
         chunks=st.integers(0, 3),
         offset=st.sampled_from([-1, 0, 1, 2]),
-        magnitude=st.sampled_from([1, 10**6, 10**18]),
+        magnitude=st.sampled_from([1, 10**6, 10**18, 10**100]),
         seed=st.integers(0, 2**32 - 1),
         before=st.lists(st.integers(-(10**18), 10**18), max_size=3),
         after=st.lists(st.integers(-(10**18), 10**18), max_size=3),
@@ -399,6 +402,20 @@ class TestBatched:
         if v:
             assert batched.finalize(coefficients_closed(3, length)) == direct_sum(v, 3)
 
+    # the widest lane values a chunk can give: every sample at the largest
+    # magnitude, of one sign, up to the 256 bits the lanes take
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK])
+    @pytest.mark.parametrize("magnitude", [1, 10**18, 2**256 - 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("K", [12, 64])
+    def test_constant_samples_at_the_lane_bound(self, K, sign, magnitude, length):
+        v = [sign * magnitude] * length
+        cascade = Cascade(K)
+        registers = cascade.registers
+        push_stream(cascade, lines_of(v), int)
+        assert cascade.registers is registers  # updated in place
+        assert registers == run_cascade(K, v).registers
+
     def test_exception_inside_the_block_applies_every_pushed_sample(self):
         v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
 
@@ -415,16 +432,19 @@ class TestBatched:
         cascade.push(5)  # immediate again
         assert cascade.samples_seen == len(v) + 1
 
-    @pytest.mark.parametrize("K", [0, 1, 2, 5])
+    # K = 32 takes the packed lanes: the chunk of 10 samples is long enough
+    @pytest.mark.parametrize("K", [0, 1, 2, 5, 32])
     def test_failed_drain_leaves_the_cascade_unchanged(self, K):
         def parse(text):  # one non-int, which the kernel cannot add
             return text if text == "x\n" else int(text)
 
         cascade = run_cascade(K, [4, -9])
-        registers = list(cascade.registers)
+        registers = cascade.registers
+        before = list(registers)
         with pytest.raises(TypeError):
-            push_stream(cascade, ["1\n", "x\n", "2\n"], parse)
-        assert cascade.registers == registers
+            push_stream(cascade, ["1\n", "x\n", *lines_of(range(2, 10))], parse)
+        assert cascade.registers is registers  # the documented in-place list
+        assert cascade.registers == before
         assert cascade.samples_seen == 2
         cascade.push(5)  # immediate again
         assert cascade.registers == run_cascade(K, [4, -9, 5]).registers

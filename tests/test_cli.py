@@ -902,6 +902,25 @@ class TestSelfcheck:
         failed = [check for check in report["checks"] if not check["passed"]]
         assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
 
+    def test_fault_in_the_lane_unpack_detected(self, monkeypatch, capsys):
+        # drains at K >= 12 split each pass result into packed lanes; plain
+        # residues in place of centered ones misread a negative lane value
+        # as a large positive one and leave its borrow in the lane above
+        def unpack_without_sign_fix(packed, F):
+            fields = []
+            for _ in range(cascade_module._LANES - 1):
+                field = packed & ((1 << F) - 1)
+                fields.append(field)
+                packed = (packed - field) >> F
+            fields.append(packed)
+            return fields
+
+        monkeypatch.setattr(cascade_module, "_unpack", unpack_without_sign_fix)
+        assert cli.main(["selfcheck", "--seed", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == ["cascade_matches_direct_sum"]
+
     def test_off_by_one_carry_weights_detected(self, monkeypatch, capsys):
         # a drain that carries the old registers across a chunk of L
         # samples with the weights of L+1, C(L+d, d) for C(L-1+d, d), adds
