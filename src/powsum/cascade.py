@@ -42,18 +42,21 @@ from .costmodel import Counted, OpCount, predict_cascade
 # 1.0 MB at K = 32.
 _CHUNK = 2048
 
-# Cascade._drain scans a chunk of at least 2 * _LANES samples in _LANES
-# packed lanes when K >= _LANE_MIN_K and every sample is below _LANE_MAX in
-# magnitude (at most 256 bits). Draining 2*10**5 samples up to 10**3 and up
-# to 10**18 (2-core Xeon VM, one pinned CPU, min of 5-7 interleaved runs,
+# Cascade._drain scans a full chunk in _LANES packed lanes when K >=
+# _LANE_MIN_K and every sample is below _LANE_MAX in magnitude (256 bits),
+# and any other chunk in one lane. Draining 2*10**5 samples up to 10**3 and
+# 10**18 (2-core Xeon VM, one pinned CPU, min of 5-7 interleaved runs,
 # Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and a PGO+LTO 3.13.13), 4 lanes
-# against one took 1.28-1.42x at K = 12 and 1.38-1.59x at K = 32. At K = 32,
-# 2 lanes gave 1.30-1.44x and 8 lanes 1.06-1.45x: combining the lanes costs
-# lanes * K(K+1)/2 multiplications. At K = 8 lanes gave 1.08-1.30x, and at
-# K = 2 they lost, 0.37-0.67x: a packed int misses CPython's fast path for
-# one-digit ints. Wide samples gain less. At K = 12 and 32, 256-bit samples
-# gave 1.14-1.32x and 1.18-1.44x, 512-bit ones 0.96-1.22x and 1.08-1.26x,
-# and --float's 1094-bit samples lost, 0.76-0.91x and 0.91-0.95x.
+# against one took 1.28-1.42x at K = 12 and 1.38-1.59x at K = 32, where 2
+# lanes gave 1.30-1.44x and 8 lanes 1.06-1.45x: combining the lanes costs
+# lanes * K(K+1)/2 multiplications. Lanes gave 1.08-1.30x at K = 8 and lost
+# at K = 2, 0.37-0.67x, as a packed int misses CPython's one-digit fast
+# path. At K = 12 and 32, 256-bit samples gave 1.14-1.32x and 1.18-1.44x,
+# 512-bit ones 0.96-1.22x and 1.08-1.26x, and --float's 1094-bit ones lost,
+# 0.76-0.91x and 0.91-0.95x. Only long chunks pay (Python 3.11.7, min of 5):
+#   chunk of   8     16    32    64    128   256   512 samples
+#   K = 12     0.26  0.36  0.39  0.32  0.64  0.85  1.11x
+#   K = 32     0.31  0.33  0.39  0.44  0.58  0.86  1.06x
 _LANES = 4
 _LANE_MIN_K = 12
 _LANE_MAX = 1 << 256
@@ -119,13 +122,13 @@ class Cascade:
         plus C(L-1+k-j, k-j) * R_j for each j < k: K(K+1)/2 constant
         multiplications per carry.
 
-        At K >= 12, a chunk of at least 8 samples, none wider than 256
-        bits, is scanned in 4 lanes packed into one int per index (see
+        At K >= 12, a full chunk of ``_CHUNK`` samples, none wider than
+        256 bits, is scanned in 4 lanes packed into one int per index (see
         ``_lane_scan``): the passes add all 4 lanes at once, and the lanes'
         scans are then carried across each other in time order. That chunk
         makes 4 carries, 4*K(K+1)/2 constant multiplications, instead of
-        one. The result equals ``push``'s for ints only, whose additions
-        are exact in any order.
+        one; any other chunk takes one lane. The result equals ``push``'s
+        for ints only, whose additions are exact in any order.
 
         All or nothing: the registers are written only after every pass
         has finished, and in place, so ``registers`` stays the same list; a
@@ -138,7 +141,7 @@ class Cascade:
         length = len(queue)
         if (
             K >= _LANE_MIN_K
-            and length >= 2 * _LANES
+            and length == _CHUNK
             and (top := max(max(queue), -min(queue))) < _LANE_MAX
         ):
             local = _lane_scan(queue, K, top)

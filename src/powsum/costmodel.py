@@ -107,11 +107,11 @@ def _search_chain(
     # same length, so minimality is unaffected). Pairs are tried in
     # lexicographic order and the first hit is returned, which makes the
     # result deterministic.
+    # Never called with remaining 0 short of the target: at remaining 1 the
+    # doubling prune recurses only for c == target, and K = 1 starts at 0.
     top = values[-1]
     if top == target:
         return ()
-    if remaining == 0:
-        return None
     for a, va in enumerate(values):
         for b in range(a, len(values)):
             c = va + values[b]

@@ -5,12 +5,12 @@ Each check tests one thing that ``moment`` relies on: the result of
 samples written as text and streamed through ``moment``'s reader,
 ``powsum.cascade.push_stream``, and so through its chunk kernel, from
 zero and from non-zero registers, against the brute-force sum, and at
-K >= 12, where the kernel scans in packed lanes, every register against
-the same samples pushed one at a time; the coefficients against the
-identity that defines them; and each register, pushed one sample at a
-time, against its binomial weight, so both ways of advancing the
-registers are checked. A check is a generator that yields
-``None`` for each passing case and a counterexample for a failing one;
+K >= 12, where the kernel scans full chunks in packed lanes, every
+register against the same samples pushed one at a time; the coefficients
+against the identity that defines them; and each register, pushed one
+sample at a time, against its binomial weight, so both ways of advancing
+the registers are checked. A check is a generator that yields ``None``
+for each passing case and a counterexample for a failing one;
 the run stops at the first counterexample. Given the same seed, the run
 is fully deterministic.
 """
@@ -21,7 +21,7 @@ import math
 import random
 from typing import Any, Iterator
 
-from .cascade import _CHUNK, Cascade, push_stream
+from .cascade import _CHUNK, _LANE_MIN_K, Cascade, push_stream
 from .coeffs import coefficients_closed
 from .oracle import direct_sum
 
@@ -33,14 +33,13 @@ Cases = Iterator[dict[str, Any] | None]
 
 def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
     for trial in range(TRIALS):
-        # Every other stream goes into a cascade of K = 12..40, whose drains
-        # scan in packed lanes. Its result is read at a power P <= 8, like
-        # the others' at P = K, so that coefficients for larger powers stay
+        # Every other stream goes into a cascade of K = 12..40, whose full
+        # chunks are scanned in packed lanes, and is read at a power P <= 8,
+        # like the others at P = K, so coefficients for larger powers stay
         # the identity check's to test. P reads only registers 1..P+1, so
-        # every register must also equal those of samples pushed one at a
-        # time.
+        # every register must also equal those of per-sample pushes.
         lanes = trial % 2 == 1
-        K = rng.randint(12, 40) if lanes else rng.randint(0, 8)
+        K = rng.randint(_LANE_MIN_K, 40) if lanes else rng.randint(0, 8)
         # Streams of up to half a chunk, every other pair of them a chunk
         # longer, so every seed runs the drain that push starts on a full
         # queue, which carries nearly every sample of a moment stream, as

@@ -345,6 +345,10 @@ def run_batched(K, v):
     return cascade
 
 
+def spy_lane_scan():
+    return mock.patch.object(cascade_module, "_lane_scan", wraps=cascade_module._lane_scan)
+
+
 class TestBatched:
     """While ``push_stream`` reads, int samples queue and the registers
     advance a chunk at a time; after the reader every read must equal the
@@ -353,9 +357,9 @@ class TestBatched:
     @settings(max_examples=100, deadline=None)
     @given(
         K=st.integers(0, 40),
-        # chunks of 7 to 13 samples lie around the 8 that Cascade._drain
-        # needs to scan in packed lanes (at K >= 12), and 10**100 is wider
-        # than the 256 bits it packs
+        # at K >= 12 Cascade._drain scans a full chunk in packed lanes, so
+        # full chunks of 7, 9 and 13 samples run the lanes' front padding to
+        # a multiple of 4, and 10**100 is wider than the 256 bits they pack
         chunk=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 13, 64, CHUNK]),
         chunks=st.integers(0, 3),
         offset=st.sampled_from([-1, 0, 1, 2]),
@@ -403,7 +407,8 @@ class TestBatched:
             assert batched.finalize(coefficients_closed(3, length)) == direct_sum(v, 3)
 
     # the widest lane values a chunk can give: every sample at the largest
-    # magnitude, of one sign, up to the 256 bits the lanes take
+    # magnitude, of one sign, up to the 256 bits the lanes take; a stream
+    # of CHUNK - 1 samples ends on a partial chunk, which takes one lane
     @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK])
     @pytest.mark.parametrize("magnitude", [1, 10**18, 2**256 - 1])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -415,6 +420,41 @@ class TestBatched:
         push_stream(cascade, lines_of(v), int)
         assert cascade.registers is registers  # updated in place
         assert registers == run_cascade(K, v).registers
+
+    # the lane rule: lanes only at K >= 12 for a full chunk whose samples
+    # are all below 2**256 in magnitude; every other chunk takes one lane
+    @pytest.mark.parametrize(
+        "K, length, wide, lanes",
+        [
+            (12, CHUNK, False, 1),
+            (12, CHUNK - 1, False, 0),  # a stream's tail
+            (12, CHUNK, True, 0),
+            (11, CHUNK, False, 0),
+        ],
+    )
+    def test_lane_selection(self, K, length, wide, lanes):
+        rng = random.Random(length)
+        v = [rng.randint(-(10**18), 10**18) for _ in range(length)]
+        if wide:
+            v[length // 2] = 2**256
+        with spy_lane_scan() as lane_scan:
+            cascade = run_batched(K, v)
+        assert lane_scan.call_count == lanes
+        assert cascade.registers == run_cascade(K, v).registers
+
+    def test_stream_switching_kernel_paths(self):
+        # one stream whose drains take lanes, one lane, lanes, and the one
+        # lane of its tail, each carrying the registers the last one left
+        rng = random.Random(32)
+        chunks = [[rng.randint(-(10**18), 10**18) for _ in range(CHUNK)] for _ in range(3)]
+        chunks[1][7] = -(2**256)
+        v = [sample for chunk in chunks for sample in chunk] + [3, -1, 4, -1, 5]
+        with spy_lane_scan() as lane_scan:
+            cascade = run_batched(32, v)
+        assert lane_scan.call_count == 2
+        plain = run_cascade(32, v)
+        assert cascade.registers == plain.registers
+        assert cascade.samples_seen == plain.samples_seen == len(v)
 
     def test_exception_inside_the_block_applies_every_pushed_sample(self):
         v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
@@ -432,7 +472,7 @@ class TestBatched:
         cascade.push(5)  # immediate again
         assert cascade.samples_seen == len(v) + 1
 
-    # K = 32 takes the packed lanes: the chunk of 10 samples is long enough
+    # the 10 lines fill a chunk of 10, which K = 32 would scan in lanes
     @pytest.mark.parametrize("K", [0, 1, 2, 5, 32])
     def test_failed_drain_leaves_the_cascade_unchanged(self, K):
         def parse(text):  # one non-int, which the kernel cannot add
@@ -441,7 +481,7 @@ class TestBatched:
         cascade = run_cascade(K, [4, -9])
         registers = cascade.registers
         before = list(registers)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError), mock.patch.object(cascade_module, "_CHUNK", 10):
             push_stream(cascade, ["1\n", "x\n", *lines_of(range(2, 10))], parse)
         assert cascade.registers is registers  # the documented in-place list
         assert cascade.registers == before
