@@ -4,9 +4,7 @@ A cascade of K+1 running-sum registers consumes a sequence one sample at
 a time; after the last sample, K+1 constant multiplications combine the
 register values into sum(n**K * v[n]), with exact integer arithmetic end
 to end. ``Cascade.push`` stores no input and multiplies nothing;
-``moment``'s reader holds at most 128 lines and 2048 queued samples and
-makes K(K+1)/2 constant multiplications per chunk, or 4*K(K+1)/2 at
-K >= 12 per full chunk of 2048 samples of at most 256 bits.
+``moment``'s reader holds at most 128 lines and 2048 queued samples.
 
 The self-check behind ``powsum selfcheck`` is
 ``powsum.selfcheck.run_selfcheck``; importing the package does not load it.

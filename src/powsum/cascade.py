@@ -42,10 +42,9 @@ from .costmodel import Counted, OpCount, predict_cascade
 # 1.0 MB at K = 32.
 _CHUNK = 2048
 
-# Cascade._drain scans a full chunk in _LANES packed lanes when K >=
-# _LANE_MIN_K and every sample is below _LANE_MAX in magnitude (256 bits),
-# and any other chunk in one lane. Draining 2*10**5 samples up to 10**3 and
-# 10**18 (2-core Xeon VM, one pinned CPU, min of 5-7 interleaved runs,
+# Why Cascade._drain's lanes are 4, from K = 12, for samples below 2**256;
+# _CHUNK must be a multiple of _LANES. Draining 2*10**5 samples up to 10**3
+# and 10**18 (2-core Xeon VM, one pinned CPU, min of 5-7 interleaved runs,
 # Python 3.10.13, 3.11.7, 3.12.1, 3.13.0 and a PGO+LTO 3.13.13), 4 lanes
 # against one took 1.28-1.42x at K = 12 and 1.38-1.59x at K = 32, where 2
 # lanes gave 1.30-1.44x and 8 lanes 1.06-1.45x: combining the lanes costs
@@ -221,13 +220,12 @@ def _lane_scan(samples: list[int], K: int, top: int) -> list[int]:
     _LANES lanes packed into one int per index: SIMD within a register
     (Fisher and Dietz, "Compiling for SIMD Within a Register", LCPC 1998).
 
-    Zeros in front make the length a multiple of _LANES, b samples a lane;
-    leading zeros leave a scan from zero at zero. Index i holds the sum of
-    samples[p*b + i] * 2**(F*p) over the lanes p, so one addition of a pass
-    adds every lane, and each pass result holds the lanes' scans in F-bit
-    fields. Those are then carried across each other in time order."""
-    b = -(-len(samples) // _LANES)
-    samples = [0] * (b * _LANES - len(samples)) + samples
+    ``samples`` is one full chunk, whose length is a multiple of _LANES: b
+    samples a lane. Index i holds the sum of samples[p*b + i] * 2**(F*p)
+    over the lanes p, so one addition of a pass adds every lane, and each
+    pass result holds the lanes' scans in F-bit fields. Those are then
+    carried across each other in time order."""
+    b = len(samples) // _LANES
     # Lane p's scan of b samples gives register k at most top * C(b+k, k+1)
     # in magnitude, largest at k = K, so F bits hold any lane value of any
     # pass with room for the sign.

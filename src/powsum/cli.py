@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute sum(n^K * v[n]) over a sample stream in a single pass",
         description="Compute sum(n^K * v[n]) over a sample stream in a single pass. "
         "Each result's ops field is predict_cascade(K, N), the paper's operation "
-        "count; the chunked push makes K(K+1)/2 constant multiplications per chunk "
-        "beyond it, or 4*K(K+1)/2 at K >= 12 per full chunk of samples of at most 256 bits.",
+        "count; the README's \"How it works\" gives the cost of moment's chunked "
+        "push beyond it.",
     )
     moment.set_defaults(run=_run_moment)
     moment.add_argument(

@@ -5,14 +5,13 @@ Each check tests one thing that ``moment`` relies on: the result of
 samples written as text and streamed through ``moment``'s reader,
 ``powsum.cascade.push_stream``, and so through its chunk kernel, from
 zero and from non-zero registers, against the brute-force sum, and at
-K >= 12, where the kernel scans full chunks in packed lanes, every
-register against the same samples pushed one at a time; the coefficients
-against the identity that defines them; and each register, pushed one
-sample at a time, against its binomial weight, so both ways of advancing
-the registers are checked. A check is a generator that yields ``None``
-for each passing case and a counterexample for a failing one;
-the run stops at the first counterexample. Given the same seed, the run
-is fully deterministic.
+K >= 12 every register against the same samples pushed one at a time;
+the coefficients against the identity that defines them; and each
+register, pushed one sample at a time, against its binomial weight, so
+both ways of advancing the registers are checked. A check is a generator
+that yields ``None`` for each passing case and a counterexample for a
+failing one; the run stops at the first counterexample. Given the same
+seed, the run is fully deterministic.
 """
 
 from __future__ import annotations

@@ -357,10 +357,11 @@ class TestBatched:
     @settings(max_examples=100, deadline=None)
     @given(
         K=st.integers(0, 40),
-        # at K >= 12 Cascade._drain scans a full chunk in packed lanes, so
-        # full chunks of 7, 9 and 13 samples run the lanes' front padding to
-        # a multiple of 4, and 10**100 is wider than the 256 bits they pack
-        chunk=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 13, 64, CHUNK]),
+        # at K >= 12 Cascade._drain scans a full chunk in packed lanes, so a
+        # chunk is a multiple of their 4, down to one sample a lane; chunks
+        # of 8 and 12 reach the lanes at small N, and 10**100 is wider than
+        # the 256 bits they pack
+        chunk=st.sampled_from([4, 8, 12, 64, CHUNK]),
         chunks=st.integers(0, 3),
         offset=st.sampled_from([-1, 0, 1, 2]),
         magnitude=st.sampled_from([1, 10**6, 10**18, 10**100]),
@@ -421,6 +422,10 @@ class TestBatched:
         assert cascade.registers is registers  # updated in place
         assert registers == run_cascade(K, v).registers
 
+    def test_chunk_is_a_whole_number_of_lanes(self):
+        # _lane_scan splits a full chunk into _LANES equal lanes, unpadded
+        assert CHUNK % cascade_module._LANES == 0
+
     # the lane rule: lanes only at K >= 12 for a full chunk whose samples
     # are all below 2**256 in magnitude; every other chunk takes one lane
     @pytest.mark.parametrize(
@@ -472,7 +477,7 @@ class TestBatched:
         cascade.push(5)  # immediate again
         assert cascade.samples_seen == len(v) + 1
 
-    # the 10 lines fill a chunk of 10, which K = 32 would scan in lanes
+    # the 12 lines fill a chunk of 12, which K = 32 would scan in lanes
     @pytest.mark.parametrize("K", [0, 1, 2, 5, 32])
     def test_failed_drain_leaves_the_cascade_unchanged(self, K):
         def parse(text):  # one non-int, which the kernel cannot add
@@ -481,8 +486,8 @@ class TestBatched:
         cascade = run_cascade(K, [4, -9])
         registers = cascade.registers
         before = list(registers)
-        with pytest.raises(TypeError), mock.patch.object(cascade_module, "_CHUNK", 10):
-            push_stream(cascade, ["1\n", "x\n", *lines_of(range(2, 10))], parse)
+        with pytest.raises(TypeError), mock.patch.object(cascade_module, "_CHUNK", 12):
+            push_stream(cascade, ["1\n", "x\n", *lines_of(range(2, 12))], parse)
         assert cascade.registers is registers  # the documented in-place list
         assert cascade.registers == before
         assert cascade.samples_seen == 2

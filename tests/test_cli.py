@@ -1332,6 +1332,8 @@ class TestUsage:
         text = " ".join(capsys.readouterr().out.split())
         assert "the paper's operation count" in text
         assert str(cascade_module._CHUNK) not in text
+        # the kernel's own cost is stated in the README and Cascade._drain only
+        assert "K(K+1)/2" not in text
 
     def test_readme_documents_every_exit_code_and_bound(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
