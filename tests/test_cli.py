@@ -1273,7 +1273,8 @@ def test_unwritable_stdout_exits_141_with_one_error_line(argv, setup):
 @pytest.mark.parametrize("setup", ["read-only", "full"])
 def test_help_on_unwritable_unbuffered_stdout_exits_141(argv, setup):
     # unbuffered stdout: the help text fails in the parser's own write, not
-    # in entrypoint's flush, and argparse from Python 3.11 ignores the error
+    # in entrypoint's flush. argparse drops a failed message write, so help
+    # is powsum's own override, which lets the error reach entrypoint
     env = {**os.environ, "PYTHONUNBUFFERED": "1"}
     if setup == "read-only":
         stdout, preexec_fn, error = None, _read_only_stdout, errno.EBADF
@@ -1306,8 +1307,8 @@ class Gone(io.StringIO):
 
 
 def test_failed_usage_message_keeps_exit_code(monkeypatch):
-    # the parser writes its messages itself, so the outcome does not depend
-    # on argparse's version: 3.10 lets the OSError escape, 3.11 drops it
+    # argparse drops a usage message stderr cannot take, and keeps the exit
+    # code; help is powsum's own override, which lets the error escape
     monkeypatch.setattr("sys.stderr", Gone())
     assert cli.main(["moment"]) == cli.EXIT_USAGE
     # a closed stdout still reaches entrypoint, which exits 141

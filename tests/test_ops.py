@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,25 @@ def test_op_counts_convert_with_asdict():
         "constant_mults": 3,
         "additions": 8,
     }
+
+
+def test_ci_tests_the_supported_versions_from_the_oldest():
+    # requires-python names the oldest supported version, and both CI jobs
+    # run the same versions from it up
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    requires = pyproject["project"]["requires-python"]
+    minimum = re.fullmatch(r">=(\d+)\.(\d+)", requires)
+    assert minimum, requires
+    oldest = tuple(map(int, minimum.groups()))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    matrices = [
+        [tuple(map(int, version.split("."))) for version in re.findall(r'"([\d.]+)"', listed)]
+        for listed in re.findall(r"python-version: \[(.*)\]", workflow)
+    ]
+    assert len(matrices) == 2, matrices
+    assert matrices[0] == matrices[1]
+    assert matrices[0][0] == oldest
+    assert sys.version_info[:2] >= oldest
 
 
 # every public entry point that takes a power K, called as (K, N); N is
