@@ -97,7 +97,7 @@ FLOAT_SHIFT = 1074
 
 def _print_stderr(line: str) -> None:
     """Print a message line to stderr. An unwritable stderr loses the line,
-    not the exit code; argparse drops its own messages the same way."""
+    not the exit code; _Parser ignores the same OSError for its messages."""
     try:
         print(line, file=sys.stderr)
     except OSError:
@@ -154,11 +154,18 @@ def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]
 
 
 class _Parser(argparse.ArgumentParser):
-    def print_help(self, file: TextIO | None = None) -> None:
-        # argparse drops a message it fails to write, which is right for a
-        # usage or error message on stderr. Help on a stdout that cannot take
-        # it must reach entrypoint instead, which exits 141, not 0.
-        (file or sys.stdout).write(self.format_help())
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # Drops a usage or error message stderr cannot take, as later argparse
+        # releases do (3.11.2's raises). But help on a stdout that cannot take
+        # it must reach entrypoint, which exits 141, where those releases
+        # would lose it and exit 0.
+        if message:
+            file = file or sys.stderr
+            try:
+                file.write(message)
+            except (AttributeError, OSError):
+                if file is sys.stdout:
+                    raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,8 +437,8 @@ def entrypoint() -> None:
         # the try, not in the interpreter's flush at exit
         sys.stdout.flush()
     except OSError as exc:
-        # only stdout can fail here, _Parser's help included: _run_moment
-        # handles the input's errors, and _print_stderr and argparse stderr's
+        # only stdout can fail here: _run_moment handles the input's errors,
+        # and _print_stderr and _Parser those of stderr
         _discard(sys.stdout)
         if exc.errno != errno.EPIPE:  # its reader left, or fd 1 was closed
             _print_stderr(f"error: cannot write to stdout: {exc.strerror}")

@@ -1273,8 +1273,8 @@ def test_unwritable_stdout_exits_141_with_one_error_line(argv, setup):
 @pytest.mark.parametrize("setup", ["read-only", "full"])
 def test_help_on_unwritable_unbuffered_stdout_exits_141(argv, setup):
     # unbuffered stdout: the help text fails in the parser's own write, not
-    # in entrypoint's flush. argparse drops a failed message write, so help
-    # is powsum's own override, which lets the error reach entrypoint
+    # in entrypoint's flush. Later argparse releases drop a failed message
+    # write; the parser's own override lets help's error reach entrypoint
     env = {**os.environ, "PYTHONUNBUFFERED": "1"}
     if setup == "read-only":
         stdout, preexec_fn, error = None, _read_only_stdout, errno.EBADF
@@ -1307,14 +1307,25 @@ class Gone(io.StringIO):
 
 
 def test_failed_usage_message_keeps_exit_code(monkeypatch):
-    # argparse drops a usage message stderr cannot take, and keeps the exit
-    # code; help is powsum's own override, which lets the error escape
+    # the parser writes its messages itself, so the outcome does not depend
+    # on argparse's release: 3.11.2 lets the OSError escape, later ones drop it
     monkeypatch.setattr("sys.stderr", Gone())
     assert cli.main(["moment"]) == cli.EXIT_USAGE
     # a closed stdout still reaches entrypoint, which exits 141
     monkeypatch.setattr("sys.stdout", Gone())
     with pytest.raises(BrokenPipeError):
         cli.main(["--help"])
+
+
+def test_failed_usage_message_keeps_exit_code_if_argparse_raises(monkeypatch):
+    # argparse up to at least 3.11.2 writes its messages with no try
+    def raising_print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+    monkeypatch.setattr("argparse.ArgumentParser._print_message", raising_print_message)
+    monkeypatch.setattr("sys.stderr", Gone())
+    assert cli.main(["moment"]) == cli.EXIT_USAGE
 
 
 class TestUsage:
