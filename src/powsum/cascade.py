@@ -7,9 +7,7 @@ final weighted combination of the registers recovers sum(n**K * v[n])
 without ever storing the stream. Memory is K+1 registers, plus, while
 ``push_stream`` reads, at most one chunk of 2048 queued samples and the
 block of up to 128 lines it reads at a time, regardless of how many
-samples go by; on a live pipe the reader reports a parse error once the
-bad line's block has been read, or at the end of input. The reader
-advances the registers a chunk at a time: it scans the chunk from zero,
+samples go by. Each time a chunk fills, the reader scans it from zero,
 then carries the old registers across it with the cascade's impulse
 response.
 
@@ -22,7 +20,7 @@ cascades are fully independent.
 
 from __future__ import annotations
 
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb
 from operator import add, lshift, mul
 from typing import Callable, Iterable, Sequence
@@ -85,7 +83,7 @@ class Cascade:
         # a push (best of 15) against 568 ns with range(self.K + 1) in push
         # (2-core Xeon VM, Python 3.11.7, one pinned CPU).
         self._indices = range(K + 1)
-        self._queue: list[int] | None = None  # a list only while push_stream reads
+        self._queue: list[int] | None = None  # a list only while push_stream reads; it drains it
 
     def push(self, sample: int) -> None:
         """Feed one sample through the cascade.
@@ -93,13 +91,11 @@ class Cascade:
         Register k absorbs the already-updated value of register k-1 from
         this same step, so a single ascending pass with a carried value
         realizes the whole recurrence. While ``push_stream`` reads, the
-        sample is queued instead, and a full queue is applied.
+        sample is only queued, and the reader applies the queue.
         """
         queue = self._queue
         if queue is not None:
             queue.append(sample)
-            if len(queue) >= _CHUNK:
-                self._drain()
             return
         registers = self.registers
         carry = sample
@@ -268,14 +264,14 @@ def _carry(old: Sequence[int], local: Sequence[int], length: int) -> list[int]:
     return [local[k] + old[k] + sum(map(mul, weights[K - k : K], old)) for k in range(K + 1)]
 
 
-# push_stream reads this many lines at a time. The block's lines are alive
-# while a full queue of _CHUNK samples drains, so the block is shorter: over
-# 400000 lines of 3-digit samples into Cascade(2), the traced peak (Python
-# 3.10-3.13) is about 240 KB without the block, 9.6 KB more with 128-line
-# blocks and 113 KB more with 2048-line ones. In process over stream_k2's
-# 10**6 lines (2-core Xeon VM, Python 3.11.7, one pinned CPU, best of 15),
-# the reader took 0.374 s reading one line at a time, 0.34 s with 64- or
-# 128-line blocks and 0.33 s with 256 to 2048.
+# push_stream reads at most this many lines at a time. The block's lines
+# are alive while a full queue of _CHUNK samples drains, so the block is
+# shorter: over 400000 lines of 3-digit samples into Cascade(2), the traced
+# peak (Python 3.10-3.13) is about 240 KB without the block, 9.6 KB more
+# with 128-line blocks and 113 KB more with 2048-line ones. In process over
+# stream_k2's 10**6 lines (2-core Xeon VM, Python 3.11.7, one pinned CPU,
+# best of 15), the reader took 0.374 s reading one line at a time, 0.34 s
+# with 64- or 128-line blocks and 0.33 s with 256 to 2048.
 _READ_BLOCK = 128
 
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
@@ -289,18 +285,18 @@ class SampleParseError(Exception):
 def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
-    ``lines`` is read a block of ``_READ_BLOCK`` lines at a time, by
-    iteration only, and each line once. While it reads, ``cascade.push``
-    queues each sample, and a full queue of ``_CHUNK`` samples advances
-    the registers with ``Cascade._drain``'s C-level scans instead of a
-    Python loop per sample. The reader ends by draining what is left,
-    also when a parse error or an interrupt ends the stream, and then
-    ``push`` applies its sample at once again, even if that drain raised.
-    Until then ``registers`` and ``samples_seen`` lag the pushes, so
-    nothing may read the cascade; besides the block of lines being read,
-    at most ``_CHUNK`` samples wait in the queue. A parse error is raised
-    once its block has been read, or the input has ended: on a live pipe,
-    up to ``_READ_BLOCK - 1`` lines after the bad one.
+    ``lines`` is read by iteration only, each line once, in blocks of up
+    to ``_READ_BLOCK`` lines and never more than the queue has room for,
+    as a line holds at most one sample. ``cascade.push`` only queues each
+    sample, and once a block fills the queue with ``_CHUNK`` samples, the
+    reader drains it with ``Cascade._drain``'s C-level scans, so every
+    drain but the last applies one full chunk. The reader ends by draining
+    what is left, also when a parse error or an interrupt ends the stream,
+    and then ``push`` applies its sample at once again, even if that drain
+    raised. Until then ``registers`` and ``samples_seen`` lag the pushes,
+    so nothing may read the cascade. A parse error is raised once its
+    block has been read, or the input has ended: on a live pipe, up to
+    ``_READ_BLOCK - 1`` lines after the bad one.
 
     The kernel takes ints only: it does not make ``push``'s additions in
     ``push``'s order, so floats would not be bit-identical and a
@@ -321,16 +317,17 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     if isinstance(lines, str):
         raise TypeError("lines must be an iterable of lines, not a str")
     lines = iter(lines)  # islice over a list would restart it
-    cascade._queue = []
+    queue = cascade._queue = []
     push = cascade.push
     try:
         # One check of the joined block for non-ASCII text and "_" spares
         # every line of a clean block its own two: over stream_k2's 10**6
         # lines, 5 ms for the joined checks against 44 ms for the per-line
-        # ones (same VM). A block shorter than _READ_BLOCK means the input
+        # ones (same VM). A block shorter than asked for means the input
         # ended: a further read would wait for a second EOF on a terminal.
-        for start in count(1, _READ_BLOCK):
-            block = list(islice(lines, _READ_BLOCK))
+        start = 1
+        while True:
+            block = list(islice(lines, want := min(_READ_BLOCK, _CHUNK - len(queue))))
             joined = "".join(block)
             clean = joined.isascii() and "_" not in joined
             del joined  # at most one copy of the block's text besides its lines
@@ -357,8 +354,11 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
                     if text and not text.startswith("#"):  # the message shows non-ASCII padding
                         lineno = start + block.index(raw)
                         raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
-            if len(block) < _READ_BLOCK:
+            if len(queue) == _CHUNK:  # then the block read all it asked for
+                cascade._drain()
+            elif len(block) < want:
                 break
+            start += want
     finally:
         try:
             cascade._drain()

@@ -55,7 +55,6 @@ from typing import Callable, Iterable, TextIO
 from .cascade import Cascade, SampleParseError, push_stream
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
-from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_SELFCHECK_FAILED = 1
@@ -265,9 +264,9 @@ def _run_moment(args: argparse.Namespace) -> int:
 
     try:
         if args.input is not None:
-            # undecodable bytes become lone surrogates, which are not ASCII,
-            # so they fail as a parse error with their line number
-            with open(args.input, encoding="utf-8", errors="surrogateescape") as stream:
+            # undecodable bytes become lone surrogates, which are not ASCII, so
+            # they fail as a parse error naming their line; as on stdin, only "\n" ends a line
+            with open(args.input, encoding="utf-8", errors="surrogateescape", newline="\n") as stream:
                 push_stream(cascade, stream, parse)
         elif sys.stdin is None:  # fd 0 was closed at start
             _print_stderr("error: cannot read samples from stdin: it is closed")
@@ -394,6 +393,7 @@ def _run_complexity(args: argparse.Namespace) -> int:
 
 
 def _run_selfcheck(args: argparse.Namespace) -> int:
+    from .selfcheck import run_selfcheck  # loaded here, not at every moment's start
     report = run_selfcheck(seed=args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["all_passed"] else EXIT_SELFCHECK_FAILED

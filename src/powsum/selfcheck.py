@@ -40,7 +40,7 @@ def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
         lanes = trial % 2 == 1
         K = rng.randint(_LANE_MIN_K, 40) if lanes else rng.randint(0, 8)
         # Streams of up to half a chunk, every other pair of them a chunk
-        # longer, so every seed runs the drain that push starts on a full
+        # longer, so every seed runs the drain the reader starts on a full
         # queue, which carries nearly every sample of a moment stream, as
         # well as the drain of the partial chunk left when the reader ends.
         # All but two streams in eight push their first one to three

@@ -461,6 +461,32 @@ class TestBatched:
         assert cascade.registers == plain.registers
         assert cascade.samples_seen == plain.samples_seen == len(v)
 
+    def test_every_drain_but_the_last_is_one_full_chunk(self):
+        # blank and comment lines among three chunks' samples: the reader
+        # reads only the lines the chunk has room for, so every full chunk
+        # drains on its own, and at K = 32 each takes the lanes
+        rng = random.Random(3)
+        v = [rng.randint(-(10**18), 10**18) for _ in range(3 * CHUNK + 5)]
+        lines = []
+        for sample in v:
+            if rng.random() < 0.01:
+                lines.append(rng.choice(["\n", "# note\n"]))
+            lines.append(f"{sample}\n")
+        drained = []
+        drain = Cascade._drain
+
+        def spy_drain(cascade):
+            drained.append(len(cascade._queue))
+            drain(cascade)
+
+        cascade = Cascade(32)
+        with mock.patch.object(Cascade, "_drain", spy_drain), spy_lane_scan() as lane_scan:
+            push_stream(cascade, lines, int)
+        assert len(lines) > len(v)
+        assert drained == [CHUNK, CHUNK, CHUNK, 5]
+        assert lane_scan.call_count == 3
+        assert cascade.registers == run_cascade(32, v).registers
+
     def test_exception_inside_the_block_applies_every_pushed_sample(self):
         v = list(range(1, CHUNK + 4))  # one full chunk, then three queued samples
 
@@ -495,7 +521,8 @@ class TestBatched:
         assert cascade.registers == run_cascade(K, [4, -9, 5]).registers
 
     def test_queue_stays_below_one_chunk(self):
-        # memory stays bounded: a full queue is applied by the push that fills it
+        # memory stays bounded: a full queue is applied right after the block
+        # that fills it, before the reader parses another line
         cascade = Cascade(2)
         queued = []
 

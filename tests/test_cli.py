@@ -14,7 +14,7 @@ import sys
 import termios
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 from unittest import mock
 
@@ -132,6 +132,17 @@ class TestMoment:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: line {lineno}: cannot parse sample {bad!r}\n"
+
+    # blank and comment lines before a full chunk end it inside a read
+    # block: the reader then reads only the lines the chunk has room for,
+    # and the line count goes on from there
+    @pytest.mark.parametrize("junk", [[], ["\n"], ["# c\n", "\n"], ["\n", "# c\n", "\n"]])
+    def test_parse_error_after_a_chunk_behind_junk_lines(self, junk, monkeypatch, capsys):
+        text = "".join(junk) + "".join(f"{i}\n" for i in range(1, 2049)) + "x\n"
+        assert run_cli(["moment", "-K", "1"], text, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {2049 + len(junk)}: cannot parse sample 'x'\n"
 
     def test_float_literal_rejected_on_exact_path(self, monkeypatch, capsys):
         assert run_cli(["moment", "-K", "1"], "1.5\n", monkeypatch) == 2
@@ -280,6 +291,27 @@ class TestMoment:
         process = subprocess.run(argv, input=text, capture_output=True, text=True, timeout=60)
         assert process.returncode == 0, process.stderr
         assert json.loads(process.stdout)["results"][0]["S"] == sample
+
+    # a line ends at "\n" only, on stdin and --input alike: a lone "\r"
+    # stays inside its line, where "\r\n" ends one
+    @pytest.mark.parametrize(
+        "data, code, out, err",
+        [
+            (b"1\r2\r3\r", 2, b"", b"error: line 1: cannot parse sample '1\\r2\\r3'\n"),
+            (b"1\r\n2\r\n3\r\n", 0, b"1 8\n", b""),
+            (b"1\r\n\r\n2\r3\n4\r", 2, b"", b"error: line 3: cannot parse sample '2\\r3'\n"),
+        ],
+        ids=["lone-cr", "crlf", "mixed"],
+    )
+    def test_carriage_returns_read_alike_on_stdin_and_input(self, data, code, out, err, tmp_path):
+        argv = [sys.executable, "-m", "powsum", "moment", "-K", "1", "--format", "plain"]
+        path = tmp_path / "samples.txt"
+        path.write_bytes(data)
+        for process in (
+            subprocess.run(argv, input=data, capture_output=True, timeout=60),
+            subprocess.run(argv + ["--input", str(path)], input=b"", capture_output=True, timeout=60),
+        ):
+            assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
 
     def test_deterministic_output(self, monkeypatch, capsys):
         run_cli(["moment", "-K", "2", "-K", "4"], "7\n-2\n9\n", monkeypatch)
@@ -664,9 +696,14 @@ class TestPushStream:
             error = str(exc)
             lineno = int(error.split(":")[0].removeprefix("line "))
             expected = reference_samples(lines[: lineno - 1], parse)
-        for block in (1, 2, 3, 5, _READ_BLOCK):
+        # chunks of 4, 8 and 12 make the reader read blocks of the room left
+        # in the chunk, shorter than _READ_BLOCK, among blanks and comments
+        for block, chunk in product((1, 2, 3, 5, _READ_BLOCK), (4, 8, 12, _CHUNK)):
             cascade = RecordingCascade(1)
-            with mock.patch.object(cascade_module, "_READ_BLOCK", block):
+            with (
+                mock.patch.object(cascade_module, "_READ_BLOCK", block),
+                mock.patch.object(cascade_module, "_CHUNK", chunk),
+            ):
                 if error is None:
                     push_stream(cascade, iter(lines), parse)
                 else:
@@ -674,6 +711,7 @@ class TestPushStream:
                         push_stream(cascade, iter(lines), parse)
                     assert str(raised.value) == error
             assert cascade.pushed == expected
+            assert cascade.samples_seen == len(expected)
 
     @pytest.mark.parametrize("n_lines", [0, 5, _READ_BLOCK, _CHUNK + 3])
     def test_reads_a_generator_by_iteration_each_line_once(self, n_lines):
@@ -959,7 +997,7 @@ class TestSelfcheck:
 
     def test_lost_full_chunk_detected(self, monkeypatch, capsys):
         # nearly every sample of a moment stream is applied by the drain
-        # that push starts on a full queue; a push that clears the full
+        # the reader starts on a full queue; a push that clears the full
         # queue instead loses those samples
         push = Cascade.push
 
