@@ -20,10 +20,10 @@ cascades are fully independent.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, islice, repeat
 from math import comb
 from operator import add, lshift, mul
-from typing import Callable, Iterable, Sequence
 
 from .coeffs import CoefficientSet, _check_power, coefficients_closed
 from .costmodel import Counted, OpCount, predict_cascade
@@ -282,7 +282,14 @@ class SampleParseError(Exception):
         super().__init__(f"line {lineno}: cannot parse sample {text!r}")
 
 
-def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int]) -> None:
+class SampleLimitError(Exception):
+    def __init__(self, lineno: int, limit: int) -> None:
+        super().__init__(f"line {lineno}: more samples than the {limit} expected")
+
+
+def push_stream(
+    cascade: Cascade, lines: Iterable[str], parse: Callable[[str], int], limit: int | None = None
+) -> None:
     """Feed data lines into a cascade, skipping blanks and '#' comments.
 
     ``lines`` is read by iteration only, each line once, in blocks of up
@@ -297,6 +304,13 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     so nothing may read the cascade. A parse error is raised once its
     block has been read, or the input has ended: on a live pipe, up to
     ``_READ_BLOCK - 1`` lines after the bad one.
+
+    Given a ``limit`` of at least 0, the reader applies at most that many
+    samples, and refuses a longer input as soon as sample ``limit + 1``
+    arrives: no block reaches past the line that could hold it, and that
+    sample leaves the queue unapplied before ``SampleLimitError`` names
+    its line. The cascade then holds ``limit`` samples more than before
+    the call.
 
     The kernel takes ints only: it does not make ``push``'s additions in
     ``push``'s order, so floats would not be bit-identical and a
@@ -316,6 +330,9 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
     """
     if isinstance(lines, str):
         raise TypeError("lines must be an iterable of lines, not a str")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
+    end = None if limit is None else cascade.samples_seen + limit  # samples_seen at the limit
     lines = iter(lines)  # islice over a list would restart it
     queue = cascade._queue = []
     push = cascade.push
@@ -327,7 +344,10 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
         # ended: a further read would wait for a second EOF on a terminal.
         start = 1
         while True:
-            block = list(islice(lines, want := min(_READ_BLOCK, _CHUNK - len(queue))))
+            want = min(_READ_BLOCK, _CHUNK - len(queue))
+            if end is not None:  # room for one sample past the limit, and no more
+                want = min(want, end + 1 - cascade.samples_seen - len(queue))
+            block = list(islice(lines, want))
             joined = "".join(block)
             clean = joined.isascii() and "_" not in joined
             del joined  # at most one copy of the block's text besides its lines
@@ -354,6 +374,10 @@ def push_stream(cascade: Cascade, lines: Iterable[str], parse: Callable[[str], i
                     if text and not text.startswith("#"):  # the message shows non-ASCII padding
                         lineno = start + block.index(raw)
                         raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
+            if end is not None and cascade.samples_seen + len(queue) > end:
+                # every line of this block was a sample, the last one past the limit
+                queue.pop()
+                raise SampleLimitError(start + want - 1, limit)
             if len(queue) == _CHUNK:  # then the block read all it asked for
                 cascade._drain()
             elif len(block) < want:

@@ -33,11 +33,14 @@ long for memory is one error line, nothing on stdout, and exit 2.
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
 ignored. ``moment`` reads it with ``powsum.cascade.push_stream``, which
-lives beside the chunk kernel it feeds. Under ``--float`` each result is the exact sum of the parsed
-doubles, rounded once to the nearest double; a non-finite sample and a
-result beyond the double range (naming K) are errors with exit 2. All
-output is deterministic for identical inputs and flags (randomized checks
-take an explicit seed).
+lives beside the chunk kernel it feeds. ``--expect-n N`` refuses sample
+N+1 as it arrives, naming its line, so an endless input ends at once,
+and a shorter stream at its end, both with exit 2. Under ``--float``
+each result is the exact sum of the parsed doubles, rounded once to the
+nearest double; a non-finite sample and a result beyond the double
+range (naming K) are errors with exit 2. All output is deterministic
+for identical inputs and flags (randomized checks take an explicit
+seed).
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
-from typing import Callable, Iterable, TextIO
 
-from .cascade import Cascade, SampleParseError, push_stream
+from .cascade import Cascade, SampleLimitError, SampleParseError, push_stream
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
 
@@ -153,7 +156,7 @@ def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]
 
 
 class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+    def _print_message(self, message: str, file: io.TextIOBase | None = None) -> None:
         # Drops a usage or error message stderr cannot take, as later argparse
         # releases do (3.11.2's raises). But help on a stdout that cannot take
         # it must reach entrypoint, which exits 141, where those releases
@@ -196,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     moment.add_argument(
         "--expect-n",
         type=_int_in(1),
-        help="declared sample count: the actual count is verified at end of stream",
+        help="declared sample count: a surplus sample is refused as it arrives, "
+        "a shortfall at end of stream",
     )
     moment.add_argument(
         "--float",
@@ -267,7 +271,7 @@ def _run_moment(args: argparse.Namespace) -> int:
             # undecodable bytes become lone surrogates, which are not ASCII, so
             # they fail as a parse error naming their line; as on stdin, only "\n" ends a line
             with open(args.input, encoding="utf-8", errors="surrogateescape", newline="\n") as stream:
-                push_stream(cascade, stream, parse)
+                push_stream(cascade, stream, parse, args.expect_n)
         elif sys.stdin is None:  # fd 0 was closed at start
             _print_stderr("error: cannot read samples from stdin: it is closed")
             return EXIT_USAGE
@@ -275,8 +279,8 @@ def _run_moment(args: argparse.Namespace) -> int:
             if isinstance(sys.stdin, io.TextIOWrapper):
                 # the default is "strict" outside the C and POSIX locales
                 sys.stdin.reconfigure(errors="surrogateescape")
-            push_stream(cascade, sys.stdin, parse)
-    except (SampleParseError, OSError) as exc:
+            push_stream(cascade, sys.stdin, parse, args.expect_n)
+    except (SampleParseError, SampleLimitError, OSError) as exc:
         _print_stderr(f"error: {exc}")
         return EXIT_USAGE
     except MemoryError:
@@ -372,7 +376,7 @@ def _run_table(args: argparse.Namespace) -> int:
 CSV_HEADER = ("K", "N", "method", "general_mults", "constant_mults", "additions")
 
 
-def write_csv(reports: Iterable[ComplexityReport], stream: TextIO) -> None:
+def write_csv(reports: Iterable[ComplexityReport], stream: io.TextIOBase) -> None:
     """Write reports under CSV_HEADER, three rows each (cascade, baseline,
     baseline counted chain-only); every field is an integer or a fixed word."""
     rows = [CSV_HEADER]
@@ -411,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     return args.run(args)
 
 
-def _discard(stream: TextIO) -> None:
+def _discard(stream: io.TextIOBase) -> None:
     """Point a stream's file descriptor at /dev/null, so the interpreter's
     flush at exit has nowhere to fail and keeps the exit code."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, count, repeat
 from operator import sub
-from typing import Any, Iterable, Sequence
 
 
 def signed_differences(values: Sequence[int]) -> list[int]:
@@ -87,7 +87,7 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
         return _new_set(cls, (K, N, values))
 
     @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> CoefficientSet:
+    def _make(cls, iterable: Iterable[object]) -> CoefficientSet:
         # namedtuple's own builder, which _replace calls too, skips __new__.
         return cls(*iterable)
 

@@ -24,10 +24,10 @@ operations that code performed. The conventions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Iterable, Sequence
 
 from .coeffs import _check_domain, _check_power
 

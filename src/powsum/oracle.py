@@ -8,7 +8,7 @@ nothing from the package, so no code it checks can change it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def direct_sum(v: Sequence[int], K: int) -> int:

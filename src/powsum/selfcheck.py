@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Iterator
+from collections.abc import Iterator
 
 from .cascade import _CHUNK, _LANE_MIN_K, Cascade, push_stream
 from .coeffs import coefficients_closed
@@ -27,7 +27,7 @@ from .oracle import direct_sum
 SAMPLE_MAGNITUDE = 10**6
 TRIALS = 60  # cases per randomized check
 
-Cases = Iterator[dict[str, Any] | None]
+Cases = Iterator[dict[str, object] | None]
 
 
 def _cascade_matches_direct_sum(rng: random.Random) -> Cases:
@@ -111,7 +111,7 @@ def _impulse_response() -> Cases:
                     yield {"K": K, "N": N, "v": impulse}
 
 
-def _report(name: str, cases: Cases) -> dict[str, Any]:
+def _report(name: str, cases: Cases) -> dict[str, object]:
     """Run a check up to its first counterexample; ``cases`` in the report
     counts the cases actually run."""
     run = 0
@@ -121,7 +121,7 @@ def _report(name: str, cases: Cases) -> dict[str, Any]:
     return {"name": name, "passed": True, "cases": run}
 
 
-def run_selfcheck(seed: int = 0) -> dict[str, Any]:
+def run_selfcheck(seed: int = 0) -> dict[str, object]:
     """Run every consistency check and return a JSON-ready report.
 
     The seed is at least 0: ``random.Random`` seeds -5 as it does 5, so a

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -533,6 +534,27 @@ class TestBatched:
         push_stream(cascade, lines_of(range(3 * CHUNK)), parse)
         assert len(queued) == 3 * CHUNK
         assert max(queued) == CHUNK - 1
+
+    def test_memory_stays_bounded_when_junk_lines_misalign_the_blocks(self):
+        # blank and comment lines, at stream_k2's share, end chunks inside
+        # read blocks, so the reader reads blocks of the room left, which a
+        # stream of samples alone never makes it do
+        def lines():
+            rng = random.Random(11)
+            for _ in range(400_000):
+                if rng.random() < 0.01:
+                    yield rng.choice(("\n", "# comment\n"))
+                yield f"{rng.randint(-999, 999)}\n"
+
+        cascade = Cascade(2)
+        tracemalloc.start()
+        try:
+            push_stream(cascade, lines(), int)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cascade.samples_seen == 400_000
+        assert peak < 256 * 1024
 
     def test_push_outside_the_block_is_immediate(self):
         ops = OpCount()

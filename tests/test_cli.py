@@ -14,7 +14,7 @@ import sys
 import termios
 import time
 from fractions import Fraction
-from itertools import islice, product
+from itertools import count, islice, product
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 
 from powsum import cascade as cascade_module
 from powsum import cli
-from powsum.cascade import _CHUNK, _READ_BLOCK, Cascade, SampleParseError, push_stream
+from powsum.cascade import (
+    _CHUNK,
+    _READ_BLOCK,
+    Cascade,
+    SampleLimitError,
+    SampleParseError,
+    push_stream,
+)
 from powsum.coeffs import CoefficientSet, coefficients_closed
 from powsum.oracle import direct_sum
 from powsum.selfcheck import run_selfcheck
@@ -170,6 +177,55 @@ class TestMoment:
         code = run_cli(["moment", "-K", "2", "--expect-n", "5"], "3\n1\n4\n", monkeypatch)
         assert code == 2
         assert "expected 5 samples" in capsys.readouterr().err
+
+    def test_expect_n_refuses_a_surplus_sample_on_an_open_stdin(self):
+        # the reader would wait for more input, or for its end, if it read a
+        # line past sample N+1: stdin stays open until the process has exited
+        process = subprocess.Popen(
+            [sys.executable, "-m", "powsum", "moment", "-K", "1", "--expect-n", "2"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            process.stdin.write(b"1\n2\n3\n")
+            process.stdin.flush()
+            code = process.wait(timeout=30)
+        finally:
+            process.kill()
+            process.stdin.close()
+            out, err = process.stdout.read(), process.stderr.read()
+            process.stdout.close()
+            process.stderr.close()
+        assert (code, out) == (cli.EXIT_USAGE, b"")
+        assert err == b"error: line 3: more samples than the 2 expected\n"
+
+    @pytest.mark.parametrize("junk", [[], ["\n"], ["# c\n", "\n"], ["\n", "# c\n", "\n"]])
+    def test_expect_n_surplus_behind_junk_lines(self, junk, monkeypatch, capsys):
+        text = "1\n" + "".join(junk) + "2\n3\nx\n"
+        assert run_cli(["moment", "-K", "1", "--expect-n", "2"], text, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {3 + len(junk)}: more samples than the 2 expected\n"
+
+    def test_expect_n_met_before_junk_lines(self, monkeypatch, capsys):
+        text = "3\n1\n4\n\n# done\n  \n"
+        code = run_cli(["moment", "-K", "2", "--expect-n", "3", "--format", "plain"], text, monkeypatch)
+        assert code == 0
+        assert capsys.readouterr().out == "2 17\n"
+
+    # the surplus sample is the first line after a full chunk, or the one
+    # that would fill it
+    @pytest.mark.parametrize("expect_n", [_CHUNK - 1, _CHUNK])
+    def test_expect_n_surplus_at_a_chunk_edge(self, expect_n, monkeypatch, capsys):
+        text = "".join(f"{i}\n" for i in range(1, _CHUNK + 3))
+        argv = ["moment", "-K", "1", "--expect-n", str(expect_n)]
+        assert run_cli(argv, text, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line {expect_n + 1}: more samples than the {expect_n} expected\n"
+        )
 
     def test_plain_format(self, monkeypatch, capsys):
         code = run_cli(
@@ -608,6 +664,14 @@ def reader_lines(draw):
     return [line + end for line, end in zip(lines, endings)]
 
 
+def cascade_of(K, samples):
+    """A cascade of power K after ``samples`` pushed one at a time."""
+    cascade = Cascade(K)
+    for sample in samples:
+        cascade.push(sample)
+    return cascade
+
+
 class RecordingCascade(Cascade):
     """A cascade that also keeps every pushed sample, in order."""
 
@@ -747,6 +811,77 @@ class TestPushStream:
         lines = Terminal(f"{i}\n" for i in range(n_lines))
         push_stream(cascade, lines, int)
         assert lines.ended and cascade.samples_seen == n_lines
+
+    @pytest.mark.parametrize("before", [[], [7, -2]])
+    @pytest.mark.parametrize("limit", [0, 1, 5, _READ_BLOCK, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3])
+    def test_limit_ends_an_endless_input_at_the_surplus_sample(self, limit, before):
+        # every fifth line a comment, then samples without end
+        read = []
+
+        def generate():
+            for i in count(1):
+                line = "# note\n" if i % 5 == 0 else f"{i}\n"
+                read.append(line)
+                yield line
+
+        cascade = cascade_of(3, before)
+        with pytest.raises(SampleLimitError) as raised:
+            push_stream(cascade, generate(), int, limit)
+        lineno = len(read)
+        assert str(raised.value) == f"line {lineno}: more samples than the {limit} expected"
+        samples = [i for i in range(1, lineno) if i % 5]
+        assert len(samples) == limit
+        assert cascade.samples_seen == len(before) + limit
+        assert cascade.registers == cascade_of(3, before + samples).registers
+        assert cascade._queue is None
+
+    @pytest.mark.parametrize("n_samples", [0, 3, _READ_BLOCK, _CHUNK])
+    def test_limit_met_or_not_reached_reads_to_the_end(self, n_samples):
+        for limit in (n_samples, n_samples + 1):
+            cascade = Cascade(1)
+            lines = Terminal(f"{i}\n" for i in range(n_samples))
+            push_stream(cascade, lines, int, limit)
+            assert lines.ended and cascade.samples_seen == n_samples
+
+    def test_refuses_a_negative_limit_before_reading(self):
+        lines = Terminal(["1\n"])
+        with pytest.raises(ValueError, match="^limit must be at least 0, got -1$"):
+            push_stream(Cascade(1), lines, int, -1)
+        assert next(lines) == "1\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(reader_lines(), st.sampled_from([int, cli._scaled_float]), st.integers(0, 8))
+    @example(["1\n", "\n", "2\n", "x\n"], int, 1)  # the surplus sample before a bad line
+    @example(["1\n", "x\n", "2\n", "3\n"], int, 1)  # a bad line before the surplus sample
+    def test_limit_against_the_line_at_a_time_reference(self, lines, parse, limit):
+        try:
+            expected, error = reference_samples(lines, parse), None
+        except SampleParseError as exc:
+            error = str(exc)
+            lineno = int(error.split(":")[0].removeprefix("line "))
+            expected = reference_samples(lines[: lineno - 1], parse)
+        if len(expected) > limit:
+            lineno = next(
+                end
+                for end in range(len(lines) + 1)
+                if len(reference_samples(lines[:end], parse)) > limit
+            )
+            error = f"line {lineno}: more samples than the {limit} expected"
+            expected = expected[:limit]
+        for block, chunk in product((1, 2, 3, _READ_BLOCK), (4, 8, _CHUNK)):
+            cascade = Cascade(1)
+            with (
+                mock.patch.object(cascade_module, "_READ_BLOCK", block),
+                mock.patch.object(cascade_module, "_CHUNK", chunk),
+            ):
+                if error is None:
+                    push_stream(cascade, iter(lines), parse, limit)
+                else:
+                    with pytest.raises((SampleParseError, SampleLimitError)) as raised:
+                        push_stream(cascade, iter(lines), parse, limit)
+                    assert str(raised.value) == error
+            assert cascade.samples_seen == len(expected)
+            assert cascade.registers == cascade_of(1, expected).registers
 
 
 class TestCoeffs:

@@ -236,6 +236,25 @@ def test_no_import_inside_functions():
     assert deferred == {("cli.py", "_run_selfcheck", "from .selfcheck import run_selfcheck")}
 
 
+def test_no_module_imports_typing():
+    # annotations name collections.abc and io types: with postponed
+    # annotations they are never evaluated, and typing stays out of the
+    # CLI's import. Read from the source, not sys.modules, since some
+    # interpreters load typing through the standard library itself.
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.partition(".")[0] == "typing" for module in modules):
+                importers.add(path.name)
+    assert importers == set()
+
+
 def test_every_public_name_resolves():
     for name in powsum.__all__:
         assert hasattr(powsum, name), name
