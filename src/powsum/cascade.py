@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, islice, repeat
-from math import comb
+from math import comb, inf
 from operator import add, lshift, mul
 
 from .coeffs import CoefficientSet, _check_power, coefficients_closed
@@ -277,14 +277,11 @@ _READ_BLOCK = 128
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what str.strip() removes below 128
 
 
-class SampleParseError(Exception):
-    def __init__(self, lineno: int, text: str) -> None:
-        super().__init__(f"line {lineno}: cannot parse sample {text!r}")
+class SampleError(Exception):
+    """``push_stream``'s refusal of an input line: ``line N: <reason>``."""
 
-
-class SampleLimitError(Exception):
-    def __init__(self, lineno: int, limit: int) -> None:
-        super().__init__(f"line {lineno}: more samples than the {limit} expected")
+    def __init__(self, lineno: int, reason: str) -> None:
+        super().__init__(f"line {lineno}: {reason}")
 
 
 def push_stream(
@@ -301,16 +298,15 @@ def push_stream(
     what is left, also when a parse error or an interrupt ends the stream,
     and then ``push`` applies its sample at once again, even if that drain
     raised. Until then ``registers`` and ``samples_seen`` lag the pushes,
-    so nothing may read the cascade. A parse error is raised once its
-    block has been read, or the input has ended: on a live pipe, up to
-    ``_READ_BLOCK - 1`` lines after the bad one.
+    so nothing may read the cascade. A line that holds no sample raises
+    ``SampleError``, naming the line, once its block has been read or the
+    input has ended: on a live pipe, up to ``_READ_BLOCK - 1`` lines after
+    the bad one.
 
-    Given a ``limit`` of at least 0, the reader applies at most that many
-    samples, and refuses a longer input as soon as sample ``limit + 1``
-    arrives: no block reaches past the line that could hold it, and that
-    sample leaves the queue unapplied before ``SampleLimitError`` names
-    its line. The cascade then holds ``limit`` samples more than before
-    the call.
+    A ``limit`` of at least 0 is one more bound on each block: none reads
+    past the line that could hold sample ``limit + 1``. That sample is
+    refused as it arrives, unapplied, by a ``SampleError`` naming its line,
+    so the cascade holds ``limit`` samples more than before the call.
 
     The kernel takes ints only: it does not make ``push``'s additions in
     ``push``'s order, so floats would not be bit-identical and a
@@ -332,7 +328,7 @@ def push_stream(
         raise TypeError("lines must be an iterable of lines, not a str")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    end = None if limit is None else cascade.samples_seen + limit  # samples_seen at the limit
+    end = cascade.samples_seen + (inf if limit is None else limit)  # samples_seen at the limit
     lines = iter(lines)  # islice over a list would restart it
     queue = cascade._queue = []
     push = cascade.push
@@ -344,9 +340,10 @@ def push_stream(
         # ended: a further read would wait for a second EOF on a terminal.
         start = 1
         while True:
-            want = min(_READ_BLOCK, _CHUNK - len(queue))
-            if end is not None:  # room for one sample past the limit, and no more
-                want = min(want, end + 1 - cascade.samples_seen - len(queue))
+            # room for one sample past the limit (end is inf without one, never the min)
+            want = min(
+                _READ_BLOCK, _CHUNK - len(queue), end + 1 - cascade.samples_seen - len(queue)
+            )
             block = list(islice(lines, want))
             joined = "".join(block)
             clean = joined.isascii() and "_" not in joined
@@ -367,17 +364,18 @@ def push_stream(
                         try:
                             value = parse(text)
                         except ValueError:
-                            raise SampleParseError(start + block.index(raw), text) from None
+                            lineno = start + block.index(raw)
+                            raise SampleError(lineno, f"cannot parse sample {text!r}") from None
                     push(value)
                 else:
                     text = raw.strip()
                     if text and not text.startswith("#"):  # the message shows non-ASCII padding
-                        lineno = start + block.index(raw)
-                        raise SampleParseError(lineno, raw.strip(_ASCII_WHITESPACE))
-            if end is not None and cascade.samples_seen + len(queue) > end:
+                        lineno, text = start + block.index(raw), raw.strip(_ASCII_WHITESPACE)
+                        raise SampleError(lineno, f"cannot parse sample {text!r}")
+            if cascade.samples_seen + len(queue) > end:
                 # every line of this block was a sample, the last one past the limit
                 queue.pop()
-                raise SampleLimitError(start + want - 1, limit)
+                raise SampleError(start + want - 1, f"more samples than the {limit} expected")
             if len(queue) == _CHUNK:  # then the block read all it asked for
                 cascade._drain()
             elif len(block) < want:

@@ -55,7 +55,7 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict
 
-from .cascade import Cascade, SampleLimitError, SampleParseError, push_stream
+from .cascade import Cascade, SampleError, push_stream
 from .coeffs import coefficient_polynomials, coefficients_closed
 from .costmodel import MAX_CHAIN_TARGET, ComplexityReport, complexity_table, predict_cascade
 
@@ -280,7 +280,7 @@ def _run_moment(args: argparse.Namespace) -> int:
                 # the default is "strict" outside the C and POSIX locales
                 sys.stdin.reconfigure(errors="surrogateescape")
             push_stream(cascade, sys.stdin, parse, args.expect_n)
-    except (SampleParseError, SampleLimitError, OSError) as exc:
+    except (SampleError, OSError) as exc:
         _print_stderr(f"error: {exc}")
         return EXIT_USAGE
     except MemoryError:

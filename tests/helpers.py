@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from powsum.cascade import SampleParseError
+from powsum.cascade import SampleError
 from powsum.coeffs import CoefficientSet, signed_differences
 
 # Canonical coefficient-polynomial strings for powers 0..5, index k-1
@@ -68,7 +68,7 @@ ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 def reference_samples(lines: Iterable[str], parse: Callable[[str], int]) -> list[int]:
-    """The samples ``lines`` holds, in order, or the SampleParseError of its
+    """The samples ``lines`` holds, in order, or the SampleError of its
     first bad line: blanks and '#' comments are skipped, and a line with a
     non-ASCII character or ``_`` holds no sample."""
     samples = []
@@ -83,12 +83,13 @@ def reference_samples(lines: Iterable[str], parse: Callable[[str], int]) -> list
                 try:
                     value = parse(text)
                 except ValueError:
-                    raise SampleParseError(lineno, text) from None
+                    raise SampleError(lineno, f"cannot parse sample {text!r}") from None
             samples.append(value)
         else:
             text = raw.strip()
             if text and not text.startswith("#"):
-                raise SampleParseError(lineno, raw.strip(ASCII_WHITESPACE))
+                text = raw.strip(ASCII_WHITESPACE)
+                raise SampleError(lineno, f"cannot parse sample {text!r}")
     return samples
 
 

@@ -28,8 +28,7 @@ from powsum.cascade import (
     _CHUNK,
     _READ_BLOCK,
     Cascade,
-    SampleLimitError,
-    SampleParseError,
+    SampleError,
     push_stream,
 )
 from powsum.coeffs import CoefficientSet, coefficients_closed
@@ -741,7 +740,7 @@ class TestPushStream:
         samples = list(range(-3, _CHUNK + 2))
         lines = [f"{sample}\n" for sample in samples] + ["x\n", "7\n"]
         cascade = Cascade(3)
-        with pytest.raises(SampleParseError, match=f"^line {len(samples) + 1}: "):
+        with pytest.raises(SampleError, match=f"^line {len(samples) + 1}: "):
             push_stream(cascade, lines, int)
         assert cascade.samples_seen == len(samples)
         assert cascade.finalize(coefficients_closed(3, len(samples))) == direct_sum(samples, 3)
@@ -756,7 +755,7 @@ class TestPushStream:
     def test_pushes_what_the_line_at_a_time_reference_reads(self, lines, parse):
         try:
             expected, error = reference_samples(lines, parse), None
-        except SampleParseError as exc:
+        except SampleError as exc:
             error = str(exc)
             lineno = int(error.split(":")[0].removeprefix("line "))
             expected = reference_samples(lines[: lineno - 1], parse)
@@ -771,7 +770,7 @@ class TestPushStream:
                 if error is None:
                     push_stream(cascade, iter(lines), parse)
                 else:
-                    with pytest.raises(SampleParseError) as raised:
+                    with pytest.raises(SampleError) as raised:
                         push_stream(cascade, iter(lines), parse)
                     assert str(raised.value) == error
             assert cascade.pushed == expected
@@ -825,7 +824,7 @@ class TestPushStream:
                 yield line
 
         cascade = cascade_of(3, before)
-        with pytest.raises(SampleLimitError) as raised:
+        with pytest.raises(SampleError) as raised:
             push_stream(cascade, generate(), int, limit)
         lineno = len(read)
         assert str(raised.value) == f"line {lineno}: more samples than the {limit} expected"
@@ -856,7 +855,7 @@ class TestPushStream:
     def test_limit_against_the_line_at_a_time_reference(self, lines, parse, limit):
         try:
             expected, error = reference_samples(lines, parse), None
-        except SampleParseError as exc:
+        except SampleError as exc:
             error = str(exc)
             lineno = int(error.split(":")[0].removeprefix("line "))
             expected = reference_samples(lines[: lineno - 1], parse)
@@ -877,7 +876,7 @@ class TestPushStream:
                 if error is None:
                     push_stream(cascade, iter(lines), parse, limit)
                 else:
-                    with pytest.raises((SampleParseError, SampleLimitError)) as raised:
+                    with pytest.raises(SampleError) as raised:
                         push_stream(cascade, iter(lines), parse, limit)
                     assert str(raised.value) == error
             assert cascade.samples_seen == len(expected)

@@ -221,6 +221,34 @@ def test_ops_module_is_gone():
     assert importlib.util.find_spec("powsum.ops") is None
 
 
+def test_every_reader_refusal_has_a_handler():
+    # moment turns a refusal of its input into one error line and exit 2,
+    # never a traceback: each exception class the cascade module defines is
+    # named in an except clause of cli._run_moment
+    defined = {
+        name
+        for name, value in vars(cascade_module).items()
+        if isinstance(value, type)
+        and issubclass(value, Exception)
+        and value.__module__ == cascade_module.__name__
+    }
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (run_moment,) = (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_moment"
+    )
+    handled = {
+        node.id
+        for handler in ast.walk(run_moment)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+        if isinstance(node, ast.Name)
+    }
+    assert defined, "the cascade module defines no exception class"
+    assert defined <= handled, defined - handled
+
+
 def test_no_import_inside_functions():
     # one exception: the selfcheck command loads its module, so that the CLI
     # import every moment run pays for does not; it breaks no import cycle,
