@@ -10,7 +10,7 @@ The self-check behind ``powsum selfcheck`` is
 ``powsum.selfcheck.run_selfcheck``; importing the package does not load it.
 """
 
-from .cascade import Cascade, measure_cascade
+from .cascade import Cascade
 from .coeffs import (
     CoefficientSet,
     coefficient_polynomials,
@@ -18,7 +18,6 @@ from .coeffs import (
 )
 from .costmodel import (
     OpCount,
-    baseline_sum,
     complexity_table,
     predict_baseline,
     predict_cascade,
@@ -31,12 +30,10 @@ __all__ = [
     "Cascade",
     "CoefficientSet",
     "OpCount",
-    "baseline_sum",
     "coefficient_polynomials",
     "coefficients_closed",
     "complexity_table",
     "direct_sum",
-    "measure_cascade",
     "predict_baseline",
     "predict_cascade",
     "__version__",

@@ -26,7 +26,7 @@ from math import comb, inf
 from operator import add, lshift, mul
 
 from .coeffs import CoefficientSet, _check_power, coefficients_closed
-from .costmodel import Counted, OpCount, predict_cascade
+from .costmodel import OpCount, predict_cascade
 
 # Samples push_stream queues before the registers advance. A drain holds
 # up to three lists of this length, of ints as wide as the chunk's own
@@ -70,8 +70,7 @@ class Cascade:
     value across later pushes. ``finalize`` never writes them. Reads may
     run concurrently with each other, but not with a push. Samples are
     normally ints, which keeps every result exact. Floats may be pushed
-    too, with approximate results, and :class:`~powsum.costmodel.Counted`
-    samples count the operations the cascade performs on them.
+    too, with approximate results.
     """
 
     def __init__(self, K: int) -> None:
@@ -309,13 +308,12 @@ def push_stream(
     so the cascade holds ``limit`` samples more than before the call.
 
     The kernel takes ints only: it does not make ``push``'s additions in
-    ``push``'s order, so floats would not be bit-identical and a
-    ``Counted`` tally would change, while ints stay exact. So ``parse``
-    returns ints: ``int`` itself, or ``cli._scaled_float`` for
-    ``--float``. Every sample is still one ``cascade.push`` call: the
-    benchmark's trace (``bench/traced.py``) counts those calls as
-    samples, counts lines by iterating ``lines``, and derives the skipped
-    lines from the two.
+    ``push``'s order, so floats would not be bit-identical, while ints
+    stay exact. So ``parse`` returns ints: ``int`` itself, or
+    ``cli._scaled_float`` for ``--float``. Every sample is still one
+    ``cascade.push`` call: the benchmark's trace (``bench/traced.py``)
+    counts those calls as samples, counts lines by iterating ``lines``,
+    and derives the skipped lines from the two.
 
     A sample is ASCII decimal text (``parse`` decides the literal form)
     with optional padding, and no ``_`` or non-ASCII character, which
@@ -387,15 +385,3 @@ def push_stream(
         finally:
             cascade._queue = None
 
-
-def measure_cascade(v: Sequence[int], K: int) -> OpCount:
-    """Run the real cascade over ``v`` as counted operands and return the
-    operations it performed (pushes plus one final combination). Empty
-    input measures as all zeros."""
-    ops = OpCount()
-    cascade = Cascade(K)
-    for sample in v:
-        cascade.push(Counted(sample, ops))
-    if cascade.samples_seen:
-        cascade.finalize(coefficients_closed(K, cascade.samples_seen))
-    return ops

@@ -1,30 +1,18 @@
-"""The operation-count model: the tally, the counted operand that fills
-it, the closed-form predictions, the runtime-exponentiation baseline the
-streaming cascade is costed against, and the report table comparing the
-two. ``measure_cascade`` lives beside the cascade it drives, in
-:mod:`powsum.cascade`, and the table's CSV writer in :mod:`powsum.cli`.
+"""The operation-count model: the tally, the closed-form predictions for
+the streaming cascade and for the runtime-exponentiation baseline it is
+costed against, the minimal addition chain that baseline follows, and the
+report table comparing the two. The table's CSV writer lives in
+:mod:`powsum.cli`.
 
-Counting is a property of the operands, not of the algorithm: run the
-real code over :class:`Counted` values and the tally records exactly the
-operations that code performed. The conventions:
-
-* counted + counted is an addition; an addition into a plain ``0`` is
-  free, so the first sample landing in zeroed registers costs nothing,
-  and a cascade over N samples costs exactly (K+1)N - 1 additions
-  including the K additions of the final combination;
-* counted * counted is a general multiplication; plain int * counted is
-  a constant multiplication (one fixed, precomputable operand);
-* coefficient precomputation is not counted -- the coefficients depend
-  only on (K, N) and are evaluated once, outside the streaming loop;
-* the exponentiation baseline pays, per sample, the optimal-chain cost
-  of n^K plus one general multiplication by v[n]. Complexity figures for
-  such baselines are quoted both with and without the multiplication by
-  v[n], so reports carry both the chain-only and the inclusive totals.
+The model predicts; it runs none of the code it costs. The tests
+measure: ``tests/counting.py`` runs the real cascade and the baseline
+over counting operands, and states the counting conventions, and the
+tests check its tallies against these predictions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -42,8 +30,9 @@ class OpCount:
 
     General multiplications take two arbitrary operands; constant
     multiplications have one fixed, precomputable operand (realizable with
-    shifts and adds in hardware). :class:`Counted` operands mutate the
-    fields in place.
+    shifts and adds in hardware). The predictions return a new tally, and
+    nothing in the package changes one; the test suite's counted operands
+    fill theirs in place.
     """
 
     general_mults: int = 0
@@ -53,42 +42,6 @@ class OpCount:
     def __post_init__(self) -> None:
         if min(self.general_mults, self.constant_mults, self.additions) < 0:
             raise ValueError("operation counts cannot be negative")
-
-
-class Counted:
-    """An integer that records the arithmetic done on it in ``ops``.
-
-    Results are new ``Counted`` values sharing the same tally, so every
-    operation downstream of a counted input is counted too.
-    """
-
-    __slots__ = ("value", "ops")
-
-    def __init__(self, value: int, ops: OpCount) -> None:
-        self.value = value
-        self.ops = ops
-
-    def __add__(self, other: "Counted | int") -> "Counted":
-        if isinstance(other, Counted):
-            other = other.value
-        elif other == 0:
-            return self
-        self.ops.additions += 1
-        return Counted(self.value + other, self.ops)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "Counted | int") -> "Counted":
-        if isinstance(other, Counted):
-            self.ops.general_mults += 1
-            return Counted(self.value * other.value, self.ops)
-        self.ops.constant_mults += 1
-        return Counted(other * self.value, self.ops)
-
-    __rmul__ = __mul__
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def predict_cascade(K: int, N: int) -> OpCount:
@@ -149,32 +102,6 @@ def optimal_chain(K: int) -> tuple[tuple[int, int], ...]:
         if steps is not None:
             return steps
     raise AssertionError("unreachable: doubling always reaches the target")
-
-
-def baseline_sum(v: Sequence[int], K: int) -> tuple[int, OpCount]:
-    """The same value as :func:`~powsum.oracle.direct_sum`, costed as a
-    streaming baseline that raises every index to the K-th power at
-    runtime.
-
-    Per sample: len(optimal_chain(K)) chain multiplications plus one
-    general multiplication by v[n] when K >= 1; no multiplications at all
-    when K == 0. Every sample pays full price, including n = 0 -- a real
-    streaming implementation would not special-case it. Accumulation
-    costs N - 1 additions.
-    """
-    _check_power(K)
-    ops = OpCount()
-    steps = optimal_chain(K) if K >= 1 else None
-    total: Counted | int = 0
-    for n, sample in enumerate(v):
-        term = Counted(sample, ops)
-        if steps is not None:
-            powers = [Counted(n, ops)]
-            for a, b in steps:
-                powers.append(powers[a] * powers[b])
-            term = powers[-1] * term
-        total += term
-    return int(total), ops
 
 
 def predict_baseline(K: int, N: int) -> OpCount:

@@ -13,12 +13,11 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 
-from powsum.cascade import Cascade, measure_cascade
+from powsum.cascade import Cascade
 from powsum.cli import main as cli_main
 from powsum.cli import push_stream
 from powsum.coeffs import coefficients_closed
 from powsum.costmodel import (
-    baseline_sum,
     complexity_table,
     optimal_chain,
     predict_baseline,
@@ -26,6 +25,7 @@ from powsum.costmodel import (
 )
 from math import comb as binomial
 from powsum.oracle import direct_sum
+from tests.counting import baseline_sum, measure_cascade
 from tests.helpers import (
     TABLE_GOLDEN,
     alternating_power_sum,

@@ -11,9 +11,10 @@ from powsum import cascade as cascade_module
 from powsum import coeffs as coeffs_module
 from powsum.cascade import Cascade, push_stream
 from powsum.coeffs import coefficients_closed
-from powsum.costmodel import Counted, OpCount
+from powsum.costmodel import OpCount
 from powsum.oracle import direct_sum
 
+from tests.counting import Counted
 from tests.helpers import reference_finalize
 
 samples = st.integers(-(10**6), 10**6)

@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from powsum.cascade import measure_cascade
 from powsum.cli import CSV_HEADER, write_csv
 from powsum.costmodel import (
     OpCount,
-    baseline_sum,
     complexity_table,
     predict_baseline,
     predict_cascade,
 )
+
+from tests.counting import baseline_sum, measure_cascade
 
 
 class TestOpCount:

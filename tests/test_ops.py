@@ -16,8 +16,10 @@ import powsum
 from powsum import cascade as cascade_module
 from powsum import cli
 from powsum.cascade import push_stream
-from powsum.costmodel import Counted, OpCount, optimal_chain
+from powsum.costmodel import OpCount, optimal_chain
 from powsum.oracle import direct_sum
+
+from tests.counting import Counted, baseline_sum
 
 
 class TestCounted:
@@ -217,7 +219,7 @@ def test_cli_imports_nothing_private_from_the_cascade():
 
 
 def test_ops_module_is_gone():
-    # its counting rules live in powsum.costmodel
+    # its counting rules live in tests/counting.py, beside the counted operand
     assert importlib.util.find_spec("powsum.ops") is None
 
 
@@ -264,11 +266,9 @@ def test_no_import_inside_functions():
     assert deferred == {("cli.py", "_run_selfcheck", "from .selfcheck import run_selfcheck")}
 
 
-def test_no_module_imports_typing():
-    # annotations name collections.abc and io types: with postponed
-    # annotations they are never evaluated, and typing stays out of the
-    # CLI's import. Read from the source, not sys.modules, since some
-    # interpreters load typing through the standard library itself.
+def _importers_of(top):
+    """The package's source files that import the module ``top``, or one
+    inside it, by absolute name."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -278,9 +278,23 @@ def test_no_module_imports_typing():
                 modules = [node.module]
             else:
                 continue
-            if any(module.partition(".")[0] == "typing" for module in modules):
+            if any(module.partition(".")[0] == top for module in modules):
                 importers.add(path.name)
-    assert importers == set()
+    return importers
+
+
+def test_no_module_imports_typing():
+    # annotations name collections.abc and io types: with postponed
+    # annotations they are never evaluated, and typing stays out of the
+    # CLI's import. Read from the source, not sys.modules, since some
+    # interpreters load typing through the standard library itself.
+    assert _importers_of("typing") == set()
+
+
+def test_no_module_imports_from_the_tests():
+    # an installed package has no tests/, so such an import would break it;
+    # the counting kit the tests measure with, tests/counting.py, stays there
+    assert _importers_of("tests") == set()
 
 
 def test_every_public_name_resolves():
@@ -294,12 +308,10 @@ def test_public_surface():
         "CoefficientSet",
         "OpCount",
         "__version__",
-        "baseline_sum",
         "coefficient_polynomials",
         "coefficients_closed",
         "complexity_table",
         "direct_sum",
-        "measure_cascade",
         "predict_baseline",
         "predict_cascade",
     ]
@@ -359,14 +371,17 @@ def test_ci_tests_the_supported_versions_from_the_oldest():
     assert len(matrices) == 2, matrices
     assert matrices[0] == matrices[1]
     assert matrices[0][0] == oldest
+    # and every minor version between, with no gap
+    major, first = oldest
+    assert matrices[0] == [(major, first + i) for i in range(len(matrices[0]))], matrices[0]
 
 
-# every public entry point that takes a power K, called as (K, N); N is
-# ignored by those that take no length
+# every public entry point that takes a power K, and the counting kit's
+# baseline, called as (K, N); N is ignored by those that take no length
 POWER_TAKERS = {
     "Cascade": lambda K, N: powsum.Cascade(K),
     "coefficient_polynomials": lambda K, N: powsum.coefficient_polynomials(K),
-    "baseline_sum": lambda K, N: powsum.baseline_sum([3, 1, 4], K),
+    "baseline_sum": lambda K, N: baseline_sum([3, 1, 4], K),
     "predict_cascade": powsum.predict_cascade,
     "predict_baseline": powsum.predict_baseline,
     "CoefficientSet": lambda K, N: powsum.CoefficientSet(K, N, (9, -7, 2)),
