@@ -97,13 +97,16 @@ MAX_N = 10**18
 FLOAT_SHIFT = 1074
 
 
-def _print_stderr(line: str) -> None:
-    """Print a message line to stderr. An unwritable stderr loses the line,
-    not the exit code; _Parser ignores the same OSError for its messages."""
+def _write(text: str, stream: io.TextIOBase | None) -> None:
+    """Write a message, or drop it if its stream cannot take it: closed,
+    full, its reader gone, or None (sys.stderr when fd 2 was closed at
+    start). So a broken stderr loses the message, not the exit code. But
+    stdout, where help goes, raises, so that entrypoint exits 141."""
     try:
-        print(line, file=sys.stderr)
-    except OSError:
-        pass
+        stream.write(text)
+    except (AttributeError, OSError):  # AttributeError: stream is None
+        if stream is not None and stream is sys.stdout:
+            raise
 
 
 def _scaled_float(text: str) -> int:
@@ -116,24 +119,19 @@ def _scaled_float(text: str) -> int:
     return num << (FLOAT_SHIFT + 1 - den.bit_length())
 
 
-def _decimal_int(text: str) -> int:
-    """argparse type: int(text) for ASCII text without "_", the grammar of
-    samples too."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}")
-
-
 def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
     """argparse type: an integer flag in [low, high], or at least low when
-    high is None. Anything else is a usage error naming the flag, raised
-    while the arguments are parsed, so before any input is read."""
+    high is None, written as ASCII text without "_", the grammar of samples
+    too. Anything else is a usage error naming the flag, raised while the
+    arguments are parsed, so before any input is read."""
 
     def int_in(text: str) -> int:
-        value = _decimal_int(text)
+        try:
+            if not text.isascii() or "_" in text:
+                raise ValueError
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an ASCII decimal integer: {text!r}") from None
         if value < low or (high is not None and value > high):
             expected = f"at least {low}" if high is None else f"between {low} and {high}"
             raise argparse.ArgumentTypeError(f"must be {expected}, got {value}")
@@ -156,18 +154,11 @@ def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse's usage, error and help text follow _write's rule on every
+    # release: 3.11.2's argparse raises on a failed write, and later ones
+    # drop a failed write of help too, which would exit 0, not 141
     def _print_message(self, message: str, file: io.TextIOBase | None = None) -> None:
-        # Drops a usage or error message stderr cannot take, as later argparse
-        # releases do (3.11.2's raises). But help on a stdout that cannot take
-        # it must reach entrypoint, which exits 141, where those releases
-        # would lose it and exit 0.
-        if message:
-            file = file or sys.stderr
-            try:
-                file.write(message)
-            except (AttributeError, OSError):
-                if file is sys.stdout:
-                    raise
+        _write(message, file or sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_moment(args: argparse.Namespace) -> int:
     work = sum((power + 1) ** 3 for power in set(args.powers))
     if work > MAX_MOMENT_WORK:
-        _print_stderr(
-            f"error: argument -K/--power: sum of (K+1)**3 is {work}, more than {MAX_MOMENT_WORK}"
+        _write(
+            f"error: argument -K/--power: sum of (K+1)**3 is {work}, more than {MAX_MOMENT_WORK}\n",
+            sys.stderr,
         )
         return EXIT_USAGE
     parse = _scaled_float if args.float_mode else int
@@ -273,7 +265,7 @@ def _run_moment(args: argparse.Namespace) -> int:
             with open(args.input, encoding="utf-8", errors="surrogateescape", newline="\n") as stream:
                 push_stream(cascade, stream, parse, args.expect_n)
         elif sys.stdin is None:  # fd 0 was closed at start
-            _print_stderr("error: cannot read samples from stdin: it is closed")
+            _write("error: cannot read samples from stdin: it is closed\n", sys.stderr)
             return EXIT_USAGE
         else:
             if isinstance(sys.stdin, io.TextIOWrapper):
@@ -281,20 +273,24 @@ def _run_moment(args: argparse.Namespace) -> int:
                 sys.stdin.reconfigure(errors="surrogateescape")
             push_stream(cascade, sys.stdin, parse, args.expect_n)
     except (SampleError, OSError) as exc:
-        _print_stderr(f"error: {exc}")
+        _write(f"error: {exc}\n", sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         # a line is held whole, so one without an end (as from /dev/zero)
         # runs the process out of memory while it is decoded or parsed
-        _print_stderr("error: out of memory while reading samples: a line is too long")
+        _write("error: out of memory while reading samples: a line is too long\n", sys.stderr)
         return EXIT_USAGE
 
     n_samples = cascade.samples_seen
     if n_samples == 0:
-        _print_stderr("error: no samples in input; powered sums are undefined for an empty stream")
+        _write(
+            "error: no samples in input; powered sums are undefined for an empty stream\n", sys.stderr
+        )
         return EXIT_EMPTY_INPUT
     if args.expect_n is not None and n_samples != args.expect_n:
-        _print_stderr(f"error: expected {args.expect_n} samples but the stream held {n_samples}")
+        _write(
+            f"error: expected {args.expect_n} samples but the stream held {n_samples}\n", sys.stderr
+        )
         return EXIT_USAGE
 
     results = []
@@ -303,7 +299,9 @@ def _run_moment(args: argparse.Namespace) -> int:
         try:  # int/int true division rounds correctly, or overflows
             S = str(value / (1 << FLOAT_SHIFT) if args.float_mode else value)
         except OverflowError:
-            _print_stderr(f"error: the result for K={power} is not a finite double under --float")
+            _write(
+                f"error: the result for K={power} is not a finite double under --float\n", sys.stderr
+            )
             return EXIT_USAGE
         results.append({"K": power, "S": S, "ops": asdict(predict_cascade(power, n_samples))})
 
@@ -424,8 +422,8 @@ def _discard(stream: io.TextIOBase) -> None:
 def entrypoint() -> None:
     try:
         # fails when fd 2 is closed or not open for writing: each message
-        # would fail, or go to stdout if the interpreter found fd 2 closed
-        # (sys.stderr is then None, and print(file=None) writes to stdout)
+        # would fail, and argparse would print its usage on stdout if fd 2
+        # was closed at start (sys.stderr is None; print_usage(None) picks stdout)
         os.write(2, b"")
     except OSError:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
@@ -442,10 +440,10 @@ def entrypoint() -> None:
         sys.stdout.flush()
     except OSError as exc:
         # only stdout can fail here: _run_moment handles the input's errors,
-        # and _print_stderr and _Parser those of stderr
+        # and _write those of stderr
         _discard(sys.stdout)
         if exc.errno != errno.EPIPE:  # its reader left, or fd 1 was closed
-            _print_stderr(f"error: cannot write to stdout: {exc.strerror}")
+            _write(f"error: cannot write to stdout: {exc.strerror}\n", sys.stderr)
         code = EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED

@@ -59,7 +59,7 @@ def _check_domain(K: int, N: int) -> None:
         raise ValueError("sequence length N must be positive")
 
 
-# Builds a set without the constructor's checks, for sets valid by construction.
+# Builds a set without the constructor's checks, for the sets of a run scan.
 _new_set = tuple.__new__
 
 
@@ -69,9 +69,9 @@ class CoefficientSet(namedtuple("CoefficientSet", "K N coeffs")):
     The mathematical indexing c_1..c_{K+1} is one-based; storage is
     zero-based, so ``coeffs[i]`` holds c_{i+1}. An immutable named tuple
     ``(K, N, coeffs)``: the constructor checks its arguments, each of K,
-    N and the coefficients exactly an int, not a bool or a float, and
-    ``coefficients_closed`` builds its sets directly, once it has checked
-    K and N, without checking again what its table or scan guarantees.
+    N and the coefficients exactly an int, not a bool or a float. Only
+    the run scan of ``coefficients_closed`` builds its sets directly,
+    without checking again what the scan guarantees.
     """
 
     __slots__ = ()
@@ -159,7 +159,7 @@ def coefficients_closed(K: int, N: int) -> CoefficientSet:
                 return run[0]
     _check_domain(K, N)
     differences = signed_differences([(N + j) ** K for j in range(K + 1)])
-    last = _new_set(CoefficientSet, (K, N, tuple(differences)))
+    last = CoefficientSet(K, N, differences)
     _latest[K] = (last,)
     return last
 

@@ -42,10 +42,6 @@ UNCALLED = {
         "raised only for a power above the cascade's, which moment never "
         "asks for; ROADMAP item 12 inlines it into finalize"
     ),
-    "coeffs.CoefficientSet.__new__": (
-        "the public constructor, for library callers: the program builds "
-        "its sets directly in coefficients_closed; kept"
-    ),
     "coeffs.CoefficientSet._make": (
         "namedtuple's builder, routed through the checked constructor for "
         "library callers; kept"

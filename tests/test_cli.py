@@ -1489,6 +1489,14 @@ def test_failed_usage_message_keeps_exit_code(monkeypatch):
         cli.main(["--help"])
 
 
+def test_error_line_without_stderr_stays_off_stdout(monkeypatch, capsys):
+    # sys.stderr is None when fd 2 was closed at start: the error line is
+    # dropped, and stdout holds only the command's output
+    monkeypatch.setattr("sys.stderr", None)
+    assert cli.main(["moment", "-K", "2", "--input", "/nonexistent/x"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_failed_usage_message_keeps_exit_code_if_argparse_raises(monkeypatch):
     # argparse up to at least 3.11.2 writes its messages with no try
     def raising_print_message(self, message, file=None):

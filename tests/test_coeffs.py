@@ -191,15 +191,17 @@ class TestStepping:
         coefficients_closed(3, 53)  # another power
         assert tables == [9, 9, 4]
 
-    def test_fresh_set_checked_once_kept_set_never(self):
+    def test_fresh_set_checked_by_the_constructor_kept_set_never(self):
         coeffs._latest.clear()
         with mock.patch.object(coeffs, "_check_domain", wraps=coeffs._check_domain) as check:
             coefficients_closed(8, 20)  # a fresh table
-            assert check.call_count == 1
+            # checked before the powers are computed, and again by the public
+            # constructor that builds the set
+            assert check.call_count == 2
             coefficients_closed(8, 20)  # the kept set
             coefficients_closed(8, 21)  # the next run, scanned from the kept set
             coefficients_closed(8, 22)  # inside that run
-            assert check.call_count == 1
+            assert check.call_count == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
