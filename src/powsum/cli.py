@@ -24,11 +24,12 @@ SIGPIPE, as a shell reports for ``seq | head``). 130 prints nothing on
 stderr, and 141 one ``error:`` line unless the reader left or fd 1 was
 closed. 130 holds once the CLI runs: a SIGINT during interpreter start-up
 or the package import (about the first 0.1 s) comes before ``entrypoint``
-and still prints a traceback. A closed stderr loses the messages, not the
-exit code. A stdin closed at start is an error line and exit 2 for
-``moment`` without ``--input``; with stdout closed at start, a usage
-error still exits 2. ``moment`` holds each input line whole: a line too
-long for memory is one error line, nothing on stdout, and exit 2.
+and still prints a traceback. A closed or unwritable stderr loses the
+messages, none of which goes to stdout, and keeps the exit code. A stdin
+closed at start is an error line and exit 2 for ``moment`` without
+``--input``; with stdout closed at start, a usage error still exits 2.
+``moment`` holds each input line whole: a line too long for memory is
+one error line, nothing on stdout, and exit 2.
 
 Sample input is line-delimited ASCII decimal integers (finite decimal
 floats with ``--float``); blank lines and lines starting with ``#`` are
@@ -156,9 +157,13 @@ def _int_list_in(low: int, high: int | None = None) -> Callable[[str], list[int]
 class _Parser(argparse.ArgumentParser):
     # argparse's usage, error and help text follow _write's rule on every
     # release: 3.11.2's argparse raises on a failed write, and later ones
-    # drop a failed write of help too, which would exit 0, not 141
+    # drop a failed write of help too, which would exit 0, not 141. error()
+    # prints usage to sys.stderr, and argparse's print_usage sends None to stdout
     def _print_message(self, message: str, file: io.TextIOBase | None = None) -> None:
         _write(message, file or sys.stderr)
+
+    def print_usage(self, file: io.TextIOBase | None = None) -> None:
+        self._print_message(self.format_usage(), file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,13 +425,6 @@ def _discard(stream: io.TextIOBase) -> None:
 
 
 def entrypoint() -> None:
-    try:
-        # fails when fd 2 is closed or not open for writing: each message
-        # would fail, and argparse would print its usage on stdout if fd 2
-        # was closed at start (sys.stderr is None; print_usage(None) picks stdout)
-        os.write(2, b"")
-    except OSError:
-        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     if sys.stdout is None:
         # fd 1 was closed at start: a pipe without a reader makes the first
         # write fail as when the reader of stdout left, which exits 141
@@ -447,10 +445,10 @@ def entrypoint() -> None:
         code = EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED
+    # a closed or unwritable stderr loses its messages (none goes to stdout), not the exit code
     try:
-        sys.stderr.flush()
-    except OSError:
-        # the reader of stderr left, and a message that failed to print is
-        # still buffered
+        if sys.stderr is not None:  # None: fd 2 was closed at start
+            sys.stderr.flush()
+    except OSError:  # not writable, or its reader left: a failed message is still buffered
         _discard(sys.stderr)
     sys.exit(code)

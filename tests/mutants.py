@@ -17,7 +17,7 @@ cache is off, and what else the tests write there, ``.gitignore`` lists.
 selection", IEEE Computer 1978.)
 
 The name does not match ``test_*.py``, so the tier-1 suite does not
-collect it: the mutants take about 25 s (2-core Xeon VM, Python 3.11.7),
+collect it: the mutants take about 30 s (2-core Xeon VM, Python 3.11.7),
 and CI runs them as one step.
 """
 
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BATCHED = "tests/test_cascade.py::TestBatched"
 MOMENT = "tests/test_cli.py::TestMoment"
 PUSH_STREAM = "tests/test_cli.py::TestPushStream"
+STEPPING = "tests/test_coeffs.py::TestStepping"
 
 # (name, file, text, replacement, killing tests)
 MUTANTS = [
@@ -148,6 +149,71 @@ MUTANTS = [
         "            raise\n",
         "    stream.write(text)\n",
         ["tests/test_cli.py::test_failed_usage_message_keeps_exit_code"],
+    ),
+    (
+        "argparse's usage line for a stderr of None goes to stdout",
+        "cli.py",
+        "    def print_usage(self, file: io.TextIOBase | None = None) -> None:\n"
+        "        self._print_message(self.format_usage(), file)\n",
+        "",
+        ["tests/test_cli.py::test_error_line_without_stderr_stays_off_stdout"],
+    ),
+    (
+        "a stderr of None flushed at exit",
+        "cli.py",
+        "        if sys.stderr is not None:  # None: fd 2 was closed at start\n"
+        "            sys.stderr.flush()\n",
+        "        sys.stderr.flush()\n",
+        ["tests/test_cli.py::test_unwritable_stderr_keeps_exit_code[argv0-_close_stderr]"],
+    ),
+    # the coefficients, their run scan and the combination
+    (
+        "a scanned run one length behind",
+        "coeffs.py",
+        "count(N + 1)",
+        "count(N)",
+        [f"{STEPPING}::test_threads_sharing_a_power_get_correct_sets"],
+    ),
+    (
+        "a scanned run starting with the set it was scanned from",
+        "coeffs.py",
+        "    next(rows)  # the coefficients of last itself\n",
+        "",
+        [f"{STEPPING}::test_threads_sharing_a_power_get_correct_sets"],
+    ),
+    (
+        "the next run scanned from the kept run's first set",
+        "coeffs.py",
+        "_scan(run[-1], ",
+        "_scan(run[0], ",
+        # equivalent while a run holds one set: the threads' runs hold 113,
+        # the drawn ones 1 to 1024
+        [
+            f"{STEPPING}::test_threads_sharing_a_power_get_correct_sets",
+            f"{STEPPING}::test_running_pattern_across_run_boundaries",
+        ],
+    ),
+    (
+        "differences taken the other way round",
+        "coeffs.py",
+        "row = [a - b for a, b in zip(row, row[1:])]",
+        "row = [b - a for a, b in zip(row, row[1:])]",
+        ["tests/test_coeffs.py::TestSignedDifferences::test_matches_definition"],
+    ),
+    (
+        "finalize takes a set for another length",
+        "cascade.py",
+        "        if length != n:\n"
+        '            raise ValueError(f"coefficients are for N={length}, cascade has seen {n} samples")\n',
+        "",
+        ["tests/test_cascade.py::TestFinalize::test_mismatched_length_rejected"],
+    ),
+    (
+        "carry weights one sample too long",
+        "cascade.py",
+        "(length - 1 + d)",
+        "(length + d)",
+        [f"{BATCHED}::test_streams_around_chunk_boundaries"],
     ),
 ]
 

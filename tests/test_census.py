@@ -9,7 +9,8 @@ One subprocess, ``tests/census.py``, runs in process through
   among them;
 * the checks of CI's "Documented exit codes" step that can run in
   process: all but a stdout open for reading only, which reaches what
-  ``/dev/full`` does, and the line without an end under a memory limit;
+  ``/dev/full`` does, a closed stderr, which reaches what an open one
+  does, and the line without an end under a memory limit;
 
 and then the README's ``## Library`` block. It reports the functions of
 the package it called, by ``co_qualname``; this test reads the functions

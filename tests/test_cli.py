@@ -1296,26 +1296,40 @@ def _close_stdout():
     os.close(1)
 
 
+def _close_stdout_and_stderr():
+    os.close(1)
+    os.close(2)
+
+
 @pytest.mark.parametrize(
-    "from_file, code, out, err",
+    "close, from_file, code, out, err",
     [
-        (False, cli.EXIT_USAGE, b"", b"error: cannot read samples from stdin: it is closed\n"),
+        (
+            _close_stdin,
+            False,
+            cli.EXIT_USAGE,
+            b"",
+            b"error: cannot read samples from stdin: it is closed\n",
+        ),
         # the sample file takes the lowest free descriptor, 0
-        (True, cli.EXIT_OK, b"1 4\n", b""),
+        (_close_stdin, True, cli.EXIT_OK, b"1 4\n", b""),
+        # with fd 2 closed, the sample file takes fd 2, which moment only reads
+        (_close_stderr, True, cli.EXIT_OK, b"1 4\n", b""),
     ],
-    ids=["stdin", "input-file"],
+    ids=["stdin", "input-file", "stderr-input-file"],
 )
-def test_closed_stdin(from_file, code, out, err, tmp_path):
+def test_closed_stdin(close, from_file, code, out, err, tmp_path):
     samples = tmp_path / "samples"
     samples.write_text("3\n4\n")
     argv = ["moment", "-K", "1", "--format", "plain"]
     process = subprocess.run(
         [sys.executable, "-m", "powsum", *argv, *(["--input", str(samples)] if from_file else [])],
         capture_output=True,
-        preexec_fn=_close_stdin,
+        preexec_fn=close,
         timeout=60,
     )
     assert (process.returncode, process.stdout, process.stderr) == (code, out, err)
+    assert samples.read_bytes() == b"3\n4\n"
 
 
 # as `ulimit -v 300000`: enough for the interpreter and a normal run, not
@@ -1370,29 +1384,35 @@ def test_normal_run_fits_the_address_space_limit():
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, close",
     [
-        (["moment", "-K", "2"], cli.EXIT_BROKEN_PIPE),
-        (["coeffs", "-K", "2", "-N", "3"], cli.EXIT_BROKEN_PIPE),
-        (["table", "--kmax", "40"], cli.EXIT_BROKEN_PIPE),
-        (["selfcheck"], cli.EXIT_BROKEN_PIPE),
-        (["coeffs", "-K", "2001", "-N", "1"], cli.EXIT_USAGE),
+        (["moment", "-K", "2"], cli.EXIT_BROKEN_PIPE, _close_stdout),
+        (["coeffs", "-K", "2", "-N", "3"], cli.EXIT_BROKEN_PIPE, _close_stdout),
+        (["table", "--kmax", "40"], cli.EXIT_BROKEN_PIPE, _close_stdout),
+        (["selfcheck"], cli.EXIT_BROKEN_PIPE, _close_stdout),
+        (["coeffs", "-K", "2001", "-N", "1"], cli.EXIT_USAGE, _close_stdout),
+        # fd 2 closed too: the pipe entrypoint opens for stdout takes fds 1
+        # and 2, and a usage line sent to stdout would make it exit 141
+        (["--help"], cli.EXIT_BROKEN_PIPE, _close_stdout_and_stderr),
+        (["moment"], cli.EXIT_USAGE, _close_stdout_and_stderr),
     ],
-    ids=["moment", "coeffs", "table", "selfcheck", "usage-error"],
+    ids=[
+        "moment", "coeffs", "table", "selfcheck", "usage-error", "stderr-help", "stderr-usage-error"
+    ],
 )
-def test_stdout_closed_at_start(argv, code):
+def test_stdout_closed_at_start(argv, code, close):
     process = subprocess.run(
         [sys.executable, "-m", "powsum", *argv],
         input=b"1\n2\n",
         stderr=subprocess.PIPE,
-        preexec_fn=_close_stdout,
+        preexec_fn=close,
         timeout=60,
     )
     assert process.returncode == code
-    if code == cli.EXIT_BROKEN_PIPE:
-        assert process.stderr == b""
-    else:
+    if code == cli.EXIT_USAGE and close is _close_stdout:
         assert process.stderr.startswith(b"usage: ") and b"Traceback" not in process.stderr
+    else:
+        assert process.stderr == b""
 
 
 def _read_only_stdout():
@@ -1490,11 +1510,17 @@ def test_failed_usage_message_keeps_exit_code(monkeypatch):
 
 
 def test_error_line_without_stderr_stays_off_stdout(monkeypatch, capsys):
-    # sys.stderr is None when fd 2 was closed at start: the error line is
-    # dropped, and stdout holds only the command's output
+    # sys.stderr is None when fd 2 was closed at start: the error line, and
+    # argparse's usage line before a usage error, are dropped, and stdout
+    # holds only the command's output
     monkeypatch.setattr("sys.stderr", None)
-    assert cli.main(["moment", "-K", "2", "--input", "/nonexistent/x"]) == cli.EXIT_USAGE
-    assert capsys.readouterr().out == ""
+    for argv in [
+        ["moment", "-K", "2", "--input", "/nonexistent/x"],
+        ["moment"],
+        ["complexity", "--Ks", "65"],
+    ]:
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_failed_usage_message_keeps_exit_code_if_argparse_raises(monkeypatch):
